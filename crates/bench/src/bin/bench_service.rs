@@ -3,10 +3,9 @@
 //! Measures the mitigation server as a *service*: sustained request
 //! throughput with latency percentiles under a deterministic open-loop
 //! schedule, a connection-scaling ladder (how many concurrently-open
-//! connections each front end sustains under an arrival-rate SLO), and
-//! degraded-mode throughput with a device's circuit breaker forced open —
-//! for both the event-loop front end and the thread-per-connection
-//! baseline. Results land in `BENCH_service.json`.
+//! connections the event loop sustains under an arrival-rate SLO), and
+//! degraded-mode throughput with a device's circuit breaker forced open.
+//! Results land in `BENCH_service.json`.
 //!
 //! The server under test runs as a **child process** (this binary
 //! re-executes itself with the hidden `__serve` mode): the client and
@@ -120,19 +119,11 @@ fn numf(flag: &str, v: &str) -> Result<f64, String> {
 // ---------------------------------------------------------------------------
 
 fn serve_child(args: &[String]) -> Result<(), String> {
-    let mut event_loop = true;
     let mut degraded = false;
     let mut workers = 2usize;
     let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
         match flag {
-            "--event-loop" => {
-                event_loop = match it.next() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err("--event-loop needs on|off".into()),
-                }
-            }
             "--degraded" => degraded = true,
             "--workers" => {
                 workers = it
@@ -148,7 +139,6 @@ fn serve_child(args: &[String]) -> Result<(), String> {
         addr: "127.0.0.1:0".into(),
         workers,
         queue_capacity: 2048,
-        event_loop,
         profile_shots: 256,
         idle_timeout_ms: 120_000,
         ..invmeas_service::ServerConfig::default()
@@ -188,12 +178,10 @@ struct ServerChild {
     addr: SocketAddr,
 }
 
-fn spawn_server(event_loop: bool, degraded: bool) -> Result<ServerChild, String> {
+fn spawn_server(degraded: bool) -> Result<ServerChild, String> {
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let mut cmd = Command::new(exe);
     cmd.arg("__serve")
-        .arg("--event-loop")
-        .arg(if event_loop { "on" } else { "off" })
         .arg("--workers")
         .arg("2")
         .stdout(Stdio::piped())
@@ -279,8 +267,8 @@ struct LoadPhase {
     clean_drain: bool,
 }
 
-fn load_phase(opts: &Opts, event_loop: bool) -> Result<LoadPhase, String> {
-    let server = spawn_server(event_loop, false)?;
+fn load_phase(opts: &Opts) -> Result<LoadPhase, String> {
+    let server = spawn_server(false)?;
     let report = loadgen::run_load(&LoadConfig {
         addr: server.addr,
         connections: opts.connections,
@@ -311,25 +299,15 @@ struct Ladder {
     sustained: usize,
 }
 
-impl Ladder {
-    /// p99 at the rung holding `target` connections (0 if never climbed).
-    fn p99_at(&self, target: usize) -> u64 {
-        self.rungs
-            .iter()
-            .find(|r| r.target == target)
-            .map_or(0, |r| r.report.latency.p99_us)
-    }
-}
-
-/// Climbs the connection ladder against one front end; a fresh server per
+/// Climbs the connection ladder; a fresh server per
 /// rung so thread/connection debris never carries over. Stops early once a
 /// rung collapses (under half its connections inside the SLO).
-fn ladder_phase(opts: &Opts, event_loop: bool) -> Result<Ladder, String> {
+fn ladder_phase(opts: &Opts) -> Result<Ladder, String> {
     let mut rungs = Vec::new();
     let mut sustained = 0usize;
     let mut target = 256usize;
     while target <= opts.ladder_max {
-        let server = spawn_server(event_loop, false)?;
+        let server = spawn_server(false)?;
         let rss = std::sync::atomic::AtomicU64::new(0);
         let report = loadgen::run_storm(
             &StormConfig {
@@ -346,8 +324,7 @@ fn ladder_phase(opts: &Opts, event_loop: bool) -> Result<Ladder, String> {
         server.shutdown();
         let ok_rate = report.ok_rate;
         eprintln!(
-            "  [{}] {} conns: {:.1}% in SLO (p99 {:.1} ms)",
-            if event_loop { "event-loop" } else { "threaded" },
+            "  {} conns: {:.1}% in SLO (p99 {:.1} ms)",
             target,
             ok_rate * 100.0,
             report.latency.p99_us as f64 / 1000.0,
@@ -382,7 +359,7 @@ struct DegradedPhase {
 /// Degraded-mode throughput: trip the breaker, then measure how fast the
 /// server serves the last good profile while the device stays dark.
 fn degraded_phase(opts: &Opts) -> Result<DegradedPhase, String> {
-    let server = spawn_server(true, true)?;
+    let server = spawn_server(true)?;
     let mut client =
         invmeas_service::Client::connect(server.addr).map_err(|e| format!("connect: {e}"))?;
     let characterize = Request::Characterize(invmeas_service::CharacterizeRequest {
@@ -677,49 +654,33 @@ fn run(opts: &Opts) -> Result<(), String> {
         opts.connections, opts.requests, opts.rate_hz, opts.pipeline, nofile_soft, nofile_hard
     );
 
-    eprintln!("phase 1/4: load, event-loop front end");
-    let load_new = load_phase(opts, true)?;
+    eprintln!("phase 1/3: load");
+    let load = load_phase(opts)?;
     eprintln!(
         "  {:.0} submits/s, p99 {:.1} ms, {} protocol errors",
-        load_new.report.submits_per_sec,
-        load_new.report.latency.p99_us as f64 / 1000.0,
-        load_new.report.protocol_errors
-    );
-
-    eprintln!("phase 2/4: load, threaded baseline");
-    let load_old = load_phase(opts, false)?;
-    eprintln!(
-        "  {:.0} submits/s, p99 {:.1} ms, {} protocol errors",
-        load_old.report.submits_per_sec,
-        load_old.report.latency.p99_us as f64 / 1000.0,
-        load_old.report.protocol_errors
+        load.report.submits_per_sec,
+        load.report.latency.p99_us as f64 / 1000.0,
+        load.report.protocol_errors
     );
 
     eprintln!(
-        "phase 3/4: connection-scaling ladder (SLO {} ms)",
+        "phase 2/3: connection-scaling ladder (SLO {} ms)",
         opts.slo_ms
     );
-    let ladder_new = ladder_phase(opts, true)?;
-    let ladder_old = ladder_phase(opts, false)?;
-    let ratio = if ladder_old.sustained > 0 {
-        ladder_new.sustained as f64 / ladder_old.sustained as f64
-    } else {
-        f64::from(u32::try_from(ladder_new.sustained).unwrap_or(u32::MAX))
-    };
-    eprintln!(
-        "  sustained: event-loop {} vs threaded {} ({}x)",
-        ladder_new.sustained, ladder_old.sustained, ratio
-    );
+    let ladder = ladder_phase(opts)?;
+    eprintln!("  sustained: {} connections", ladder.sustained);
 
-    eprintln!("phase 4/4: degraded mode (breaker forced open)");
+    eprintln!("phase 3/3: degraded mode (breaker forced open)");
     let degraded = degraded_phase(opts)?;
     eprintln!(
         "  {:.0} degraded serves/s, open breakers {}",
         degraded.throughput_per_sec, degraded.open_breakers
     );
 
+    // `load` and `connection_scaling` keep the v1 `event_loop` key, so
+    // readers of the committed v1 file and of new runs use one path.
     let doc = Json::obj(vec![
-        ("schema", Json::str("bench-service v1")),
+        ("schema", Json::str("bench-service v2")),
         (
             "config",
             Json::obj(vec![
@@ -735,20 +696,10 @@ fn run(opts: &Opts) -> Result<(), String> {
                 ("nofile_hard", Json::int(nofile_hard)),
             ]),
         ),
-        (
-            "load",
-            Json::obj(vec![
-                ("event_loop", load_json(&load_new)),
-                ("threaded", load_json(&load_old)),
-            ]),
-        ),
+        ("load", Json::obj(vec![("event_loop", load_json(&load))])),
         (
             "connection_scaling",
-            Json::obj(vec![
-                ("event_loop", ladder_json(&ladder_new)),
-                ("threaded", ladder_json(&ladder_old)),
-                ("sustained_ratio", Json::Num(round2(ratio))),
-            ]),
+            Json::obj(vec![("event_loop", ladder_json(&ladder))]),
         ),
         (
             "degraded_mode",
@@ -764,57 +715,6 @@ fn run(opts: &Opts) -> Result<(), String> {
                 ("open_breakers", Json::int(degraded.open_breakers)),
                 ("degraded_responses", Json::int(degraded.degraded_responses)),
                 ("clean_drain", Json::Bool(degraded.clean_drain)),
-            ]),
-        ),
-        (
-            "comparison",
-            Json::obj(vec![
-                (
-                    "sustained_connections_event_loop",
-                    Json::int(ladder_new.sustained as u64),
-                ),
-                (
-                    "sustained_connections_threaded",
-                    Json::int(ladder_old.sustained as u64),
-                ),
-                ("sustained_ratio", Json::Num(round2(ratio))),
-                // Apples-to-apples rung: both front ends at the *same*
-                // connection count (the highest the baseline sustained).
-                (
-                    "matched_rung_connections",
-                    Json::int(ladder_old.sustained as u64),
-                ),
-                (
-                    "p99_us_matched_rung_event_loop",
-                    Json::int(ladder_new.p99_at(ladder_old.sustained)),
-                ),
-                (
-                    "p99_us_matched_rung_threaded",
-                    Json::int(ladder_old.p99_at(ladder_old.sustained)),
-                ),
-                // Identical offered load through each front end: the direct
-                // old-vs-new request-path comparison.
-                (
-                    "p99_us_equal_load_event_loop",
-                    Json::int(load_new.report.latency.p99_us),
-                ),
-                (
-                    "p99_us_equal_load_threaded",
-                    Json::int(load_old.report.latency.p99_us),
-                ),
-                // "Equal" is judged with a 10 ms absolute allowance: every
-                // phase here shares one core between client threads, worker
-                // pool, and front end, so single-digit-ms p99 gaps flip sign
-                // run to run. The SLO-scale signal (collapse at 100× that)
-                // is what separates the front ends; raw p99s are above.
-                (
-                    "event_loop_p99_equal_or_better",
-                    Json::Bool(
-                        ladder_new.sustained >= ladder_old.sustained
-                            && load_new.report.latency.p99_us
-                                <= load_old.report.latency.p99_us + 10_000,
-                    ),
-                ),
             ]),
         ),
     ]);

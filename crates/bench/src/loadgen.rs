@@ -389,10 +389,9 @@ pub struct StormConfig {
     /// Client-side worker threads performing handshakes.
     pub workers: usize,
     /// Closed-loop background connections hammering `submit` for the whole
-    /// rung. A storm against an *idle* server flatters thread-per-connection
-    /// (blocked threads are cheap); real storms hit servers that are busy,
-    /// and it is the accept path under CPU contention that separates the
-    /// front ends.
+    /// rung. A storm against an *idle* server flatters any front end;
+    /// real storms hit servers that are busy, and it is the accept path
+    /// under CPU contention that decides how many connections fit.
     pub background_connections: usize,
     /// Shots per background submit.
     pub background_shots: u64,

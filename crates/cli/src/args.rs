@@ -108,9 +108,6 @@ pub struct ServeArgs {
     pub workers: usize,
     /// Bounded job-queue capacity.
     pub queue: usize,
-    /// Serve with the readiness-driven event loop (`true`, the default)
-    /// or the thread-per-connection baseline (`false`).
-    pub event_loop: bool,
     /// Run-queue shards (0 = auto: `min(workers, 8)`).
     pub shards: usize,
     /// Executor threads per job.
@@ -242,8 +239,7 @@ USAGE:
   invmeas run <FILE.qasm> --device <NAME> [--policy baseline|sim|aim]
               [--shots N] [--expected BITS] [--profile FILE] [--route]
               [--seed N] [--threads N]
-  invmeas serve [--addr HOST:PORT] [--workers N] [--queue N]
-                [--event-loop on|off] [--shards N]
+  invmeas serve [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]
                 [--exec-threads N] [--profile-shots N] [--profile-seed N]
                 [--drift-amplitude X] [--drift-threshold X]
                 [--profile-dir DIR] [--idle-timeout-ms N]
@@ -514,7 +510,6 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
         addr: DEFAULT_ADDR.to_string(),
         workers: 2,
         queue: 32,
-        event_loop: true,
         shards: 0,
         exec_threads: 1,
         profile_shots: 2048,
@@ -545,13 +540,6 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
             }
             "--workers" => out.workers = parse_usize("--workers", it.next())?,
             "--queue" => out.queue = parse_usize("--queue", it.next())?,
-            "--event-loop" => {
-                out.event_loop = match it.next() {
-                    Some("on") => true,
-                    Some("off") => false,
-                    _ => return Err(err("--event-loop needs on|off")),
-                }
-            }
             "--shards" => out.shards = parse_usize("--shards", it.next())?,
             "--exec-threads" => out.exec_threads = parse_usize("--exec-threads", it.next())?,
             "--profile-shots" => out.profile_shots = parse_u64("--profile-shots", it.next())?,
@@ -887,7 +875,6 @@ mod tests {
                 assert_eq!(a.addr, DEFAULT_ADDR);
                 assert_eq!(a.workers, 2);
                 assert_eq!(a.queue, 32);
-                assert!(a.event_loop, "event loop is the default front end");
                 assert_eq!(a.shards, 0, "shard count defaults to auto");
                 assert_eq!(a.profile_shots, 2048);
                 assert_eq!(a.profile_dir, None);
@@ -906,7 +893,7 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         match parse(&argv(
-            "serve --addr 127.0.0.1:0 --workers 4 --queue 8 --event-loop off \
+            "serve --addr 127.0.0.1:0 --workers 4 --queue 8 \
              --shards 3 --exec-threads 2 \
              --profile-shots 512 --profile-seed 9 --drift-amplitude 0.1 \
              --drift-threshold 0.02 --profile-dir cache --idle-timeout-ms 500 \
@@ -919,7 +906,6 @@ mod tests {
                 assert_eq!(a.addr, "127.0.0.1:0");
                 assert_eq!(a.workers, 4);
                 assert_eq!(a.queue, 8);
-                assert!(!a.event_loop, "--event-loop off selects the baseline");
                 assert_eq!(a.shards, 3);
                 assert_eq!(a.exec_threads, 2);
                 assert_eq!(a.profile_shots, 512);

@@ -228,7 +228,6 @@ fn serve(a: &ServeArgs) -> Result<String, CliError> {
         addr: a.addr.clone(),
         workers: a.workers,
         queue_capacity: a.queue,
-        event_loop: a.event_loop,
         queue_shards: a.shards,
         exec_threads: a.exec_threads,
         profile_shots: a.profile_shots,

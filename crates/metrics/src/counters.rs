@@ -7,112 +7,270 @@
 //! threads; [`ServiceCounters::snapshot`] captures a consistent-enough view
 //! for a status endpoint, and the snapshot renders as a [`Table`] for
 //! human consumption.
+//!
+//! Every counter is declared once, as one row of the table at the bottom
+//! of this module. The row generates the atomic, the snapshot field, the
+//! update method, the wire rule the status protocol follows, and the
+//! label `render` shows. Adding a counter means adding one row and calling
+//! its method where the event happens.
 
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters and gauges for a request-serving process.
-///
-/// All updates are `Relaxed` atomics: the counters are statistics, not
-/// synchronization, and must never contend on the hot path.
-///
-/// # Examples
-///
-/// ```
-/// use qmetrics::ServiceCounters;
-///
-/// let c = ServiceCounters::new();
-/// c.inc_requests();
-/// c.inc_cache_miss();
-/// c.record_latency_us(1500);
-/// let snap = c.snapshot();
-/// assert_eq!(snap.requests, 1);
-/// assert_eq!(snap.cache_misses, 1);
-/// assert_eq!(snap.latency_max_us, 1500);
-/// ```
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    requests: AtomicU64,
-    jobs_executed: AtomicU64,
-    jobs_failed: AtomicU64,
-    busy_rejections: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    latency_us_total: AtomicU64,
-    latency_us_max: AtomicU64,
-    faults_injected: AtomicU64,
-    retries: AtomicU64,
-    degraded_responses: AtomicU64,
-    deadline_expirations: AtomicU64,
-    connections_reaped: AtomicU64,
-    breaker_trips: AtomicU64,
-    journal_checkpoints: AtomicU64,
-    resumed_jobs: AtomicU64,
-    profiles_quarantined: AtomicU64,
-    invariant_clamps: AtomicU64,
-    pool_tasks: AtomicU64,
-    barrier_waits: AtomicU64,
-    arena_reuse_hits: AtomicU64,
-    epoll_wakeups: AtomicU64,
-    frames_parsed: AtomicU64,
-    write_backpressure_events: AtomicU64,
-    shard_depth_peak: AtomicU64,
-    queue_steals: AtomicU64,
-    forwards: AtomicU64,
-    replication_writes: AtomicU64,
-    failovers: AtomicU64,
-    heartbeats_missed: AtomicU64,
-    stale_map_retries: AtomicU64,
-    requests_shed: AtomicU64,
-    retry_budget_exhausted: AtomicU64,
-    peer_dials_suppressed: AtomicU64,
-    net_faults_injected: AtomicU64,
-    partitions_healed: AtomicU64,
+/// How a counter travels in a status response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireRule {
+    /// Always sent; a status line without it is malformed.
+    Required,
+    /// Always sent; read as 0 when absent (the field postdates the first
+    /// protocol release, so older peers may not send it).
+    DefaultZero,
+    /// Sent only when non-zero and read as 0 when absent: additive fields,
+    /// so peers that predate them never see an unknown key on a quiet node.
+    OmitWhenZero,
 }
 
-/// A point-in-time copy of a [`ServiceCounters`].
+/// One counter of a [`CountersSnapshot`], as the wire and the status table
+/// see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // field names are the documentation
-pub struct CountersSnapshot {
-    pub requests: u64,
-    pub jobs_executed: u64,
-    pub jobs_failed: u64,
-    pub busy_rejections: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub queue_depth_peak: u64,
-    pub latency_total_us: u64,
-    pub latency_max_us: u64,
-    pub faults_injected: u64,
-    pub retries: u64,
-    pub degraded_responses: u64,
-    pub deadline_expirations: u64,
-    pub connections_reaped: u64,
-    pub breaker_trips: u64,
-    pub journal_checkpoints: u64,
-    pub resumed_jobs: u64,
-    pub profiles_quarantined: u64,
-    pub invariant_clamps: u64,
-    pub pool_tasks: u64,
-    pub barrier_waits: u64,
-    pub arena_reuse_hits: u64,
-    pub epoll_wakeups: u64,
-    pub frames_parsed: u64,
-    pub write_backpressure_events: u64,
-    pub shard_depth_peak: u64,
-    pub queue_steals: u64,
-    pub forwards: u64,
-    pub replication_writes: u64,
-    pub failovers: u64,
-    pub heartbeats_missed: u64,
-    pub stale_map_retries: u64,
-    pub requests_shed: u64,
-    pub retry_budget_exhausted: u64,
-    pub peer_dials_suppressed: u64,
-    pub net_faults_injected: u64,
-    pub partitions_healed: u64,
+pub struct CounterRow {
+    /// Wire key, identical to the snapshot field name.
+    pub key: &'static str,
+    /// Row label in [`CountersSnapshot::render`].
+    pub label: &'static str,
+    /// The counter's value.
+    pub value: u64,
+    /// How the status protocol sends and reads it.
+    pub wire: WireRule,
 }
+
+/// One update method per kind: `inc` counts one event, `add` counts `n`
+/// (and skips the atomic when `n` is 0), `observe` keeps the high-water
+/// mark, and `set` publishes a gauge owned elsewhere.
+macro_rules! counter_method {
+    ($(#[$doc:meta])* inc $method:ident $key:ident) => {
+        $(#[$doc])*
+        pub fn $method(&self) {
+            self.$key.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    ($(#[$doc:meta])* add $method:ident $key:ident) => {
+        $(#[$doc])*
+        pub fn $method(&self, n: u64) {
+            if n > 0 {
+                self.$key.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    };
+    ($(#[$doc:meta])* observe $method:ident $key:ident) => {
+        $(#[$doc])*
+        pub fn $method(&self, value: u64) {
+            self.$key.fetch_max(value, Ordering::Relaxed);
+        }
+    };
+    ($(#[$doc:meta])* set $method:ident $key:ident) => {
+        $(#[$doc])*
+        pub fn $method(&self, total: u64) {
+            self.$key.store(total, Ordering::Relaxed);
+        }
+    };
+}
+
+macro_rules! service_counters {
+    ($(
+        $(#[$doc:meta])*
+        $key:ident: $method:ident, $kind:ident, $wire:ident, $label:literal;
+    )*) => {
+        /// Monotonic counters and gauges for a request-serving process.
+        ///
+        /// All updates are `Relaxed` atomics: the counters are statistics,
+        /// not synchronization, and must never contend on the hot path.
+        ///
+        /// # Examples
+        ///
+        /// ```
+        /// use qmetrics::ServiceCounters;
+        ///
+        /// let c = ServiceCounters::new();
+        /// c.inc_requests();
+        /// c.inc_cache_miss();
+        /// c.record_latency_us(1500);
+        /// let snap = c.snapshot();
+        /// assert_eq!(snap.requests, 1);
+        /// assert_eq!(snap.cache_misses, 1);
+        /// assert_eq!(snap.latency_max_us, 1500);
+        /// ```
+        #[derive(Debug, Default)]
+        pub struct ServiceCounters {
+            $($key: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of a [`ServiceCounters`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[allow(missing_docs)] // field names are the documentation
+        pub struct CountersSnapshot {
+            $(pub $key: u64,)*
+        }
+
+        impl ServiceCounters {
+            $(counter_method! { $(#[$doc])* $kind $method $key })*
+
+            /// Captures the current values.
+            pub fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot {
+                    $($key: self.$key.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl CountersSnapshot {
+            /// Number of counters.
+            pub const LEN: usize = [$(stringify!($key)),*].len();
+
+            /// Every counter in table order (the wire order).
+            pub fn rows(&self) -> [CounterRow; Self::LEN] {
+                [$(CounterRow {
+                    key: stringify!($key),
+                    label: $label,
+                    value: self.$key,
+                    wire: WireRule::$wire,
+                },)*]
+            }
+
+            /// Builds a snapshot by asking `value` for each counter in
+            /// table order, given its wire key and rule.
+            ///
+            /// # Errors
+            ///
+            /// Returns the first error `value` returns.
+            pub fn try_build<E>(
+                mut value: impl FnMut(&'static str, WireRule) -> Result<u64, E>,
+            ) -> Result<CountersSnapshot, E> {
+                Ok(CountersSnapshot {
+                    $($key: value(stringify!($key), WireRule::$wire)?,)*
+                })
+            }
+        }
+    };
+}
+
+// The counter table: wire key (also the snapshot field), update method,
+// update kind, wire rule, `render` label. The doc line documents the
+// method. Rows are in wire order; `OmitWhenZero` rows come last.
+service_counters! {
+    /// Counts one received request (of any kind, accepted or rejected).
+    requests: inc_requests, inc, Required, "requests";
+    /// Counts one job executed to completion by a worker.
+    jobs_executed: inc_jobs_executed, inc, Required, "jobs executed";
+    /// Counts one job that reached a worker but failed.
+    jobs_failed: inc_jobs_failed, inc, Required, "jobs failed";
+    /// Counts one request turned away because the queue was full.
+    busy_rejections: inc_busy_rejection, inc, Required, "busy rejections";
+    /// Counts one profile served from cache.
+    cache_hits: inc_cache_hit, inc, Required, "cache hits";
+    /// Counts one profile that had to be (re)measured.
+    cache_misses: inc_cache_miss, inc, Required, "cache misses";
+    /// Records an observed queue depth, keeping the high-water mark.
+    queue_depth_peak: observe_queue_depth, observe, Required, "queue depth peak";
+    /// Adds to the latency total; see [`ServiceCounters::record_latency_us`].
+    latency_total_us: add_latency_total_us, add, Required, "latency total (us)";
+    /// Keeps the latency maximum; see [`ServiceCounters::record_latency_us`].
+    latency_max_us: observe_latency_max_us, observe, Required, "latency max (us)";
+    /// Publishes the fault-injection total (a gauge owned by the fault
+    /// plan, mirrored here so one snapshot carries everything).
+    faults_injected: set_faults_injected, set, DefaultZero, "faults injected";
+    /// Counts one retry of a transient characterization failure.
+    retries: inc_retry, inc, DefaultZero, "retries";
+    /// Counts one response served degraded (stale last-good profile).
+    degraded_responses: inc_degraded_response, inc, DefaultZero, "degraded responses";
+    /// Counts one job answered 504 because its deadline expired in queue.
+    deadline_expirations: inc_deadline_expiration, inc, DefaultZero, "deadline expirations";
+    /// Counts one idle or hung connection closed by the reaper.
+    connections_reaped: inc_connection_reaped, inc, DefaultZero, "connections reaped";
+    /// Counts one circuit breaker opening (failures or drift trips).
+    breaker_trips: inc_breaker_trip, inc, DefaultZero, "breaker trips";
+    /// Counts `n` characterization checkpoints appended to a journal.
+    journal_checkpoints: add_journal_checkpoints, add, DefaultZero, "journal checkpoints";
+    /// Counts one characterization job that resumed an in-flight journal
+    /// instead of starting from scratch.
+    resumed_jobs: inc_resumed_job, inc, DefaultZero, "resumed jobs";
+    /// Counts one damaged profile moved aside to a quarantine path.
+    profiles_quarantined: inc_profile_quarantined, inc, DefaultZero, "profiles quarantined";
+    /// Publishes the invariant-clamp total (a gauge owned by the core
+    /// validation ledger, mirrored here like the fault-injection total).
+    invariant_clamps: set_invariant_clamps, set, DefaultZero, "invariant clamps";
+    /// Publishes the simulator worker-pool task total (a gauge owned by
+    /// `qsim::pool`, mirrored here so one snapshot carries everything).
+    pool_tasks: set_pool_tasks, set, DefaultZero, "pool tasks";
+    /// Publishes the simulator barrier-episode total (a gauge owned by
+    /// `qsim::pool`).
+    barrier_waits: set_barrier_waits, set, DefaultZero, "barrier waits";
+    /// Publishes the statevector arena reuse total (a gauge owned by
+    /// `qsim::arena`).
+    arena_reuse_hits: set_arena_reuse_hits, set, DefaultZero, "arena reuse hits";
+    /// Counts one return from the event loop's readiness wait (an
+    /// `epoll_wait` wakeup, or its portable-fallback equivalent).
+    epoll_wakeups: inc_epoll_wakeup, inc, DefaultZero, "epoll wakeups";
+    /// Counts `n` newline-delimited frames extracted by the incremental
+    /// parser (including blank keep-alive frames).
+    frames_parsed: add_frames_parsed, add, DefaultZero, "frames parsed";
+    /// Counts one transition of a connection into write backpressure (the
+    /// socket refused bytes and the response stayed buffered until the
+    /// poller reported writability).
+    write_backpressure_events: inc_write_backpressure_event, inc, DefaultZero,
+        "write backpressure events";
+    /// Records an observed per-shard run-queue depth, keeping the
+    /// high-water mark across all shards.
+    shard_depth_peak: observe_shard_depth, observe, DefaultZero, "shard depth peak";
+    /// Publishes the cross-shard work-steal total (a gauge owned by the
+    /// sharded run queue, mirrored here like the fault-injection total).
+    queue_steals: set_queue_steals, set, DefaultZero, "queue steals";
+    /// Counts one request forwarded to the owning node of its device.
+    forwards: inc_forward, inc, DefaultZero, "forwards";
+    /// Counts one profile or journal replica installed from a peer node.
+    replication_writes: inc_replication_write, inc, DefaultZero, "replication writes";
+    /// Counts one ownership takeover: this node served a device whose
+    /// owner was dead or unreachable.
+    failovers: inc_failover, inc, DefaultZero, "failovers";
+    /// Counts one heartbeat probe that went unanswered.
+    heartbeats_missed: inc_heartbeat_missed, inc, DefaultZero, "heartbeats missed";
+    /// Counts one request that arrived at a node which neither owns nor
+    /// follows the device — the sender routed on a stale cluster map.
+    stale_map_retries: inc_stale_map_retry, inc, DefaultZero, "stale map retries";
+    /// Counts one queued work job evicted by overload shedding to admit
+    /// newer work (the victim's deadline was already impossible).
+    requests_shed: inc_requests_shed, inc, OmitWhenZero, "requests shed";
+    /// Publishes the retry-budget denial total (a gauge owned by the
+    /// node's `RetryBudget`, mirrored here like the fault-injection
+    /// total).
+    retry_budget_exhausted: set_retry_budget_exhausted, set, OmitWhenZero,
+        "retry budget exhausted";
+    /// Publishes the suppressed-dial total (a gauge owned by the
+    /// per-peer `DialGate`).
+    peer_dials_suppressed: set_peer_dials_suppressed, set, OmitWhenZero,
+        "peer dials suppressed";
+    /// Publishes the network fault-injection total (a gauge owned by the
+    /// node's `NetFaultPlan`, distinct from the request-level
+    /// `faults_injected`).
+    net_faults_injected: set_net_faults_injected, set, OmitWhenZero, "net faults injected";
+    /// Publishes the healed-partition total (a gauge owned by the node's
+    /// `NetFaultPlan`).
+    partitions_healed: set_partitions_healed, set, OmitWhenZero, "partitions healed";
+}
+
+/// Formats a value `render` computes from the counters.
+type DerivedCell = fn(&CountersSnapshot) -> String;
+
+/// Rows [`CountersSnapshot::render`] computes rather than stores: each is
+/// shown right after the counter whose key it names.
+const DERIVED_ROWS: [(&str, &str, DerivedCell); 2] = [
+    ("cache_misses", "cache hit rate", |s| {
+        format!("{:.3}", s.cache_hit_rate())
+    }),
+    ("latency_total_us", "latency mean (us)", |s| {
+        s.latency_mean_us().to_string()
+    }),
+];
 
 impl ServiceCounters {
     /// Creates a zeroed counter bundle.
@@ -120,254 +278,10 @@ impl ServiceCounters {
         Self::default()
     }
 
-    /// Counts one received request (of any kind, accepted or rejected).
-    pub fn inc_requests(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job executed to completion by a worker.
-    pub fn inc_jobs_executed(&self) {
-        self.jobs_executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job that reached a worker but failed.
-    pub fn inc_jobs_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request turned away because the queue was full.
-    pub fn inc_busy_rejection(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile served from cache.
-    pub fn inc_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile that had to be (re)measured.
-    pub fn inc_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an observed queue depth, keeping the high-water mark.
-    pub fn observe_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
     /// Records one request's end-to-end latency in microseconds.
     pub fn record_latency_us(&self, us: u64) {
-        self.latency_us_total.fetch_add(us, Ordering::Relaxed);
-        self.latency_us_max.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Publishes the fault-injection total (a gauge owned by the fault
-    /// plan, mirrored here so one snapshot carries everything).
-    pub fn set_faults_injected(&self, total: u64) {
-        self.faults_injected.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one retry of a transient characterization failure.
-    pub fn inc_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one response served degraded (stale last-good profile).
-    pub fn inc_degraded_response(&self) {
-        self.degraded_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job answered 504 because its deadline expired in queue.
-    pub fn inc_deadline_expiration(&self) {
-        self.deadline_expirations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one idle or hung connection closed by the reaper.
-    pub fn inc_connection_reaped(&self) {
-        self.connections_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one circuit breaker opening (failures or drift trips).
-    pub fn inc_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` characterization checkpoints appended to a journal.
-    pub fn add_journal_checkpoints(&self, n: u64) {
-        if n > 0 {
-            self.journal_checkpoints.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one characterization job that resumed an in-flight journal
-    /// instead of starting from scratch.
-    pub fn inc_resumed_job(&self) {
-        self.resumed_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one damaged profile moved aside to a quarantine path.
-    pub fn inc_profile_quarantined(&self) {
-        self.profiles_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the invariant-clamp total (a gauge owned by the core
-    /// validation ledger, mirrored here like the fault-injection total).
-    pub fn set_invariant_clamps(&self, total: u64) {
-        self.invariant_clamps.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the simulator worker-pool task total (a gauge owned by
-    /// `qsim::pool`, mirrored here so one snapshot carries everything).
-    pub fn set_pool_tasks(&self, total: u64) {
-        self.pool_tasks.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the simulator barrier-episode total (a gauge owned by
-    /// `qsim::pool`).
-    pub fn set_barrier_waits(&self, total: u64) {
-        self.barrier_waits.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the statevector arena reuse total (a gauge owned by
-    /// `qsim::arena`).
-    pub fn set_arena_reuse_hits(&self, total: u64) {
-        self.arena_reuse_hits.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one return from the event loop's readiness wait (an
-    /// `epoll_wait` wakeup, or its portable-fallback equivalent).
-    pub fn inc_epoll_wakeup(&self) {
-        self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` newline-delimited frames extracted by the incremental
-    /// parser (including blank keep-alive frames).
-    pub fn add_frames_parsed(&self, n: u64) {
-        if n > 0 {
-            self.frames_parsed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one transition of a connection into write backpressure (the
-    /// socket refused bytes and the response stayed buffered until the
-    /// poller reported writability).
-    pub fn inc_write_backpressure_event(&self) {
-        self.write_backpressure_events
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an observed per-shard run-queue depth, keeping the
-    /// high-water mark across all shards.
-    pub fn observe_shard_depth(&self, depth: u64) {
-        self.shard_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Publishes the cross-shard work-steal total (a gauge owned by the
-    /// sharded run queue, mirrored here like the fault-injection total).
-    pub fn set_queue_steals(&self, total: u64) {
-        self.queue_steals.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one request forwarded to the owning node of its device.
-    pub fn inc_forward(&self) {
-        self.forwards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile or journal replica installed from a peer node.
-    pub fn inc_replication_write(&self) {
-        self.replication_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one ownership takeover: this node served a device whose
-    /// owner was dead or unreachable.
-    pub fn inc_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one heartbeat probe that went unanswered.
-    pub fn inc_heartbeat_missed(&self) {
-        self.heartbeats_missed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request that arrived at a node which neither owns nor
-    /// follows the device — the sender routed on a stale cluster map.
-    pub fn inc_stale_map_retry(&self) {
-        self.stale_map_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one queued work job evicted by overload shedding to admit
-    /// newer work (the victim's deadline was already impossible).
-    pub fn inc_requests_shed(&self) {
-        self.requests_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the retry-budget denial total (a gauge owned by the
-    /// node's `RetryBudget`, mirrored here like the fault-injection
-    /// total).
-    pub fn set_retry_budget_exhausted(&self, total: u64) {
-        self.retry_budget_exhausted.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the suppressed-dial total (a gauge owned by the
-    /// per-peer `DialGate`).
-    pub fn set_peer_dials_suppressed(&self, total: u64) {
-        self.peer_dials_suppressed.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the network fault-injection total (a gauge owned by the
-    /// node's `NetFaultPlan`, distinct from the request-level
-    /// `faults_injected`).
-    pub fn set_net_faults_injected(&self, total: u64) {
-        self.net_faults_injected.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the healed-partition total (a gauge owned by the node's
-    /// `NetFaultPlan`).
-    pub fn set_partitions_healed(&self, total: u64) {
-        self.partitions_healed.store(total, Ordering::Relaxed);
-    }
-
-    /// Captures the current values.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            latency_total_us: self.latency_us_total.load(Ordering::Relaxed),
-            latency_max_us: self.latency_us_max.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
-            deadline_expirations: self.deadline_expirations.load(Ordering::Relaxed),
-            connections_reaped: self.connections_reaped.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            journal_checkpoints: self.journal_checkpoints.load(Ordering::Relaxed),
-            resumed_jobs: self.resumed_jobs.load(Ordering::Relaxed),
-            profiles_quarantined: self.profiles_quarantined.load(Ordering::Relaxed),
-            invariant_clamps: self.invariant_clamps.load(Ordering::Relaxed),
-            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
-            barrier_waits: self.barrier_waits.load(Ordering::Relaxed),
-            arena_reuse_hits: self.arena_reuse_hits.load(Ordering::Relaxed),
-            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
-            frames_parsed: self.frames_parsed.load(Ordering::Relaxed),
-            write_backpressure_events: self.write_backpressure_events.load(Ordering::Relaxed),
-            shard_depth_peak: self.shard_depth_peak.load(Ordering::Relaxed),
-            queue_steals: self.queue_steals.load(Ordering::Relaxed),
-            forwards: self.forwards.load(Ordering::Relaxed),
-            replication_writes: self.replication_writes.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            heartbeats_missed: self.heartbeats_missed.load(Ordering::Relaxed),
-            stale_map_retries: self.stale_map_retries.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            retry_budget_exhausted: self.retry_budget_exhausted.load(Ordering::Relaxed),
-            peer_dials_suppressed: self.peer_dials_suppressed.load(Ordering::Relaxed),
-            net_faults_injected: self.net_faults_injected.load(Ordering::Relaxed),
-            partitions_healed: self.partitions_healed.load(Ordering::Relaxed),
-        }
+        self.add_latency_total_us(us);
+        self.observe_latency_max_us(us);
     }
 }
 
@@ -391,64 +305,11 @@ impl CountersSnapshot {
     /// Renders the snapshot as a two-column table.
     pub fn render(&self) -> Table {
         let mut t = Table::new(&["counter", "value"]);
-        let rows: [(&str, String); 39] = [
-            ("requests", self.requests.to_string()),
-            ("jobs executed", self.jobs_executed.to_string()),
-            ("jobs failed", self.jobs_failed.to_string()),
-            ("busy rejections", self.busy_rejections.to_string()),
-            ("cache hits", self.cache_hits.to_string()),
-            ("cache misses", self.cache_misses.to_string()),
-            ("cache hit rate", format!("{:.3}", self.cache_hit_rate())),
-            ("queue depth peak", self.queue_depth_peak.to_string()),
-            ("latency mean (us)", self.latency_mean_us().to_string()),
-            ("latency max (us)", self.latency_max_us.to_string()),
-            ("latency total (us)", self.latency_total_us.to_string()),
-            ("faults injected", self.faults_injected.to_string()),
-            ("retries", self.retries.to_string()),
-            ("degraded responses", self.degraded_responses.to_string()),
-            (
-                "deadline expirations",
-                self.deadline_expirations.to_string(),
-            ),
-            ("connections reaped", self.connections_reaped.to_string()),
-            ("breaker trips", self.breaker_trips.to_string()),
-            ("journal checkpoints", self.journal_checkpoints.to_string()),
-            ("resumed jobs", self.resumed_jobs.to_string()),
-            (
-                "profiles quarantined",
-                self.profiles_quarantined.to_string(),
-            ),
-            ("invariant clamps", self.invariant_clamps.to_string()),
-            ("pool tasks", self.pool_tasks.to_string()),
-            ("barrier waits", self.barrier_waits.to_string()),
-            ("arena reuse hits", self.arena_reuse_hits.to_string()),
-            ("epoll wakeups", self.epoll_wakeups.to_string()),
-            ("frames parsed", self.frames_parsed.to_string()),
-            (
-                "write backpressure events",
-                self.write_backpressure_events.to_string(),
-            ),
-            ("shard depth peak", self.shard_depth_peak.to_string()),
-            ("queue steals", self.queue_steals.to_string()),
-            ("forwards", self.forwards.to_string()),
-            ("replication writes", self.replication_writes.to_string()),
-            ("failovers", self.failovers.to_string()),
-            ("heartbeats missed", self.heartbeats_missed.to_string()),
-            ("stale map retries", self.stale_map_retries.to_string()),
-            ("requests shed", self.requests_shed.to_string()),
-            (
-                "retry budget exhausted",
-                self.retry_budget_exhausted.to_string(),
-            ),
-            (
-                "peer dials suppressed",
-                self.peer_dials_suppressed.to_string(),
-            ),
-            ("net faults injected", self.net_faults_injected.to_string()),
-            ("partitions healed", self.partitions_healed.to_string()),
-        ];
-        for (k, v) in rows {
-            t.row_owned(vec![k.to_string(), v]);
+        for row in self.rows() {
+            t.row_owned(vec![row.label.to_string(), row.value.to_string()]);
+            for (_, label, derive) in DERIVED_ROWS.iter().filter(|(after, ..)| *after == row.key) {
+                t.row_owned(vec![label.to_string(), derive(self)]);
+            }
         }
         t
     }
@@ -459,104 +320,76 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One counter of each update kind, plus the latency pair; every
+    /// other counter stays zero.
     #[test]
     fn counters_accumulate_and_snapshot() {
         let c = ServiceCounters::new();
         for _ in 0..3 {
             c.inc_requests();
         }
-        c.inc_jobs_executed();
-        c.inc_jobs_executed();
-        c.inc_jobs_failed();
-        c.inc_busy_rejection();
-        c.inc_cache_hit();
-        c.inc_cache_hit();
-        c.inc_cache_hit();
-        c.inc_cache_miss();
+        c.add_frames_parsed(6);
+        c.add_frames_parsed(0);
+        c.add_frames_parsed(2);
         c.observe_queue_depth(2);
         c.observe_queue_depth(7);
         c.observe_queue_depth(4);
+        c.set_queue_steals(11);
+        c.set_queue_steals(5);
         c.record_latency_us(100);
         c.record_latency_us(500);
         c.record_latency_us(300);
-        c.set_faults_injected(4);
-        c.inc_retry();
-        c.inc_retry();
-        c.inc_degraded_response();
-        c.inc_deadline_expiration();
-        c.inc_connection_reaped();
-        c.inc_breaker_trip();
-        c.add_journal_checkpoints(5);
-        c.add_journal_checkpoints(0);
-        c.inc_resumed_job();
-        c.inc_profile_quarantined();
-        c.set_invariant_clamps(3);
-        c.set_pool_tasks(12);
-        c.set_barrier_waits(34);
-        c.set_arena_reuse_hits(56);
-        c.inc_epoll_wakeup();
-        c.inc_epoll_wakeup();
-        c.add_frames_parsed(6);
-        c.add_frames_parsed(0);
-        c.inc_write_backpressure_event();
-        c.observe_shard_depth(3);
-        c.observe_shard_depth(9);
-        c.observe_shard_depth(5);
-        c.set_queue_steals(11);
-        c.inc_forward();
-        c.inc_forward();
-        c.inc_replication_write();
-        c.inc_failover();
-        c.inc_heartbeat_missed();
-        c.inc_heartbeat_missed();
-        c.inc_heartbeat_missed();
-        c.inc_stale_map_retry();
-        c.inc_requests_shed();
-        c.inc_requests_shed();
-        c.set_retry_budget_exhausted(7);
-        c.set_peer_dials_suppressed(4);
-        c.set_net_faults_injected(9);
-        c.set_partitions_healed(1);
 
         let s = c.snapshot();
-        assert_eq!(s.requests, 3);
-        assert_eq!(s.jobs_executed, 2);
-        assert_eq!(s.jobs_failed, 1);
-        assert_eq!(s.busy_rejections, 1);
-        assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.queue_depth_peak, 7);
+        assert_eq!(s.requests, 3, "inc counts one per call");
+        assert_eq!(s.frames_parsed, 8, "add sums");
+        assert_eq!(s.queue_depth_peak, 7, "observe keeps the maximum");
+        assert_eq!(s.queue_steals, 5, "set keeps the last gauge value");
+        assert_eq!(s.latency_total_us, 900);
         assert_eq!(s.latency_max_us, 500);
-        assert_eq!(s.latency_mean_us(), 900 / 3);
-        assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.faults_injected, 4);
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.degraded_responses, 1);
-        assert_eq!(s.deadline_expirations, 1);
-        assert_eq!(s.connections_reaped, 1);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.journal_checkpoints, 5);
-        assert_eq!(s.resumed_jobs, 1);
-        assert_eq!(s.profiles_quarantined, 1);
-        assert_eq!(s.invariant_clamps, 3);
-        assert_eq!(s.pool_tasks, 12);
-        assert_eq!(s.barrier_waits, 34);
-        assert_eq!(s.arena_reuse_hits, 56);
-        assert_eq!(s.epoll_wakeups, 2);
-        assert_eq!(s.frames_parsed, 6);
-        assert_eq!(s.write_backpressure_events, 1);
-        assert_eq!(s.shard_depth_peak, 9);
-        assert_eq!(s.queue_steals, 11);
-        assert_eq!(s.forwards, 2);
-        assert_eq!(s.replication_writes, 1);
-        assert_eq!(s.failovers, 1);
-        assert_eq!(s.heartbeats_missed, 3);
-        assert_eq!(s.stale_map_retries, 1);
-        assert_eq!(s.requests_shed, 2);
-        assert_eq!(s.retry_budget_exhausted, 7);
-        assert_eq!(s.peer_dials_suppressed, 4);
-        assert_eq!(s.net_faults_injected, 9);
-        assert_eq!(s.partitions_healed, 1);
+        let untouched = CountersSnapshot {
+            requests: 0,
+            frames_parsed: 0,
+            queue_depth_peak: 0,
+            queue_steals: 0,
+            latency_total_us: 0,
+            latency_max_us: 0,
+            ..s
+        };
+        assert_eq!(untouched, CountersSnapshot::default());
+    }
+
+    #[test]
+    fn rows_and_build_follow_the_table() {
+        let mut next = 0u64;
+        let s = CountersSnapshot::try_build(|_, _| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        })
+        .unwrap();
+        let rows = s.rows();
+        assert_eq!(rows.len(), 37);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.value, i as u64 + 1, "{}", row.key);
+        }
+        let rebuilt = CountersSnapshot::try_build(|key, _| {
+            rows.iter()
+                .find(|r| r.key == key)
+                .map(|r| r.value)
+                .ok_or(())
+        })
+        .unwrap();
+        assert_eq!(rebuilt, s);
+        // Omit-when-zero rows trail the table, so dropping them leaves
+        // the rest of the wire order intact.
+        let first_omit = rows
+            .iter()
+            .position(|r| r.wire == WireRule::OmitWhenZero)
+            .unwrap();
+        assert!(rows[first_omit..]
+            .iter()
+            .all(|r| r.wire == WireRule::OmitWhenZero));
+        assert_eq!(rows.len() - first_omit, 5);
     }
 
     #[test]
@@ -588,44 +421,75 @@ mod tests {
         assert_eq!(s.latency_total_us, 8000);
     }
 
+    /// The label → value rows of the status table for the snapshot whose
+    /// i-th counter is i + 1, as rendered before the counters were
+    /// declared in one table. Row order follows the table, which puts
+    /// `latency total (us)` (and the mean derived from it) ahead of
+    /// `latency max (us)`; labels and values are unchanged.
     #[test]
     fn render_includes_every_counter() {
-        let text = ServiceCounters::new().snapshot().render().to_string();
-        for key in [
-            "requests",
-            "cache hit rate",
-            "busy rejections",
-            "latency max",
-            "faults injected",
-            "retries",
-            "degraded responses",
-            "deadline expirations",
-            "connections reaped",
-            "breaker trips",
-            "journal checkpoints",
-            "resumed jobs",
-            "profiles quarantined",
-            "invariant clamps",
-            "pool tasks",
-            "barrier waits",
-            "arena reuse hits",
-            "epoll wakeups",
-            "frames parsed",
-            "write backpressure events",
-            "shard depth peak",
-            "queue steals",
-            "forwards",
-            "replication writes",
-            "failovers",
-            "heartbeats missed",
-            "stale map retries",
-            "requests shed",
-            "retry budget exhausted",
-            "peer dials suppressed",
-            "net faults injected",
-            "partitions healed",
-        ] {
-            assert!(text.contains(key), "{key} missing from:\n{text}");
-        }
+        let mut next = 0u64;
+        let s = CountersSnapshot::try_build(|_, _| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        })
+        .unwrap();
+        let text = s.render().to_string();
+        let mut rendered: Vec<(String, String)> = text
+            .lines()
+            .skip(2)
+            .map(|line| {
+                let (label, value) = line.trim_end().rsplit_once(' ').unwrap();
+                (label.trim_end().to_string(), value.to_string())
+            })
+            .collect();
+        let mut pinned: Vec<(String, String)> = [
+            ("requests", "1"),
+            ("jobs executed", "2"),
+            ("jobs failed", "3"),
+            ("busy rejections", "4"),
+            ("cache hits", "5"),
+            ("cache misses", "6"),
+            ("cache hit rate", "0.455"),
+            ("queue depth peak", "7"),
+            ("latency mean (us)", "1"),
+            ("latency max (us)", "9"),
+            ("latency total (us)", "8"),
+            ("faults injected", "10"),
+            ("retries", "11"),
+            ("degraded responses", "12"),
+            ("deadline expirations", "13"),
+            ("connections reaped", "14"),
+            ("breaker trips", "15"),
+            ("journal checkpoints", "16"),
+            ("resumed jobs", "17"),
+            ("profiles quarantined", "18"),
+            ("invariant clamps", "19"),
+            ("pool tasks", "20"),
+            ("barrier waits", "21"),
+            ("arena reuse hits", "22"),
+            ("epoll wakeups", "23"),
+            ("frames parsed", "24"),
+            ("write backpressure events", "25"),
+            ("shard depth peak", "26"),
+            ("queue steals", "27"),
+            ("forwards", "28"),
+            ("replication writes", "29"),
+            ("failovers", "30"),
+            ("heartbeats missed", "31"),
+            ("stale map retries", "32"),
+            ("requests shed", "33"),
+            ("retry budget exhausted", "34"),
+            ("peer dials suppressed", "35"),
+            ("net faults injected", "36"),
+            ("partitions healed", "37"),
+        ]
+        .iter()
+        .map(|(l, v)| (l.to_string(), v.to_string()))
+        .collect();
+        assert_eq!(rendered.len(), 39, "{text}");
+        rendered.sort();
+        pinned.sort();
+        assert_eq!(rendered, pinned, "{text}");
     }
 }

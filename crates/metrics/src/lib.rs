@@ -43,7 +43,7 @@ pub mod stats;
 pub mod table;
 
 pub use bootstrap::{bootstrap_pst, bootstrap_statistic, BootstrapEstimate};
-pub use counters::{CountersSnapshot, ServiceCounters};
+pub use counters::{CounterRow, CountersSnapshot, ServiceCounters, WireRule};
 pub use reliability::{ist, pst, roca, CorrectSet, ReliabilityReport};
 pub use stats::{
     average_by_hamming_weight, hamming_weight_correlation, in_hamming_axis_order,

@@ -9,8 +9,16 @@
 //!   integration tests can assert exact response lines);
 //! * numbers are `f64` internally; integers up to 2^53 round-trip exactly,
 //!   which covers every count, shot budget, and counter in the protocol.
+//!
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep. The parser recurses
+//! once per level, and frames arrive from the network, so an unbounded
+//! nesting would let one line of `[` overflow the parsing thread's stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol
+/// itself nests at most three levels.
+pub const MAX_DEPTH: usize = 32;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +120,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError::at(pos, "trailing characters after value"));
@@ -208,12 +216,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(JsonError::at(
+            *pos,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -321,7 +334,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -330,7 +343,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -343,7 +356,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut pairs: Vec<(String, Json)> = Vec::new();
     skip_ws(bytes, pos);
@@ -366,7 +379,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(JsonError::at(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -430,6 +443,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_cap = nested(open, close, MAX_DEPTH).replace(":}", ":1}");
+            assert!(Json::parse(&at_cap).is_ok(), "{at_cap}");
+            let past_cap = nested(open, close, MAX_DEPTH + 1).replace(":}", ":1}");
+            let e = Json::parse(&past_cap).unwrap_err();
+            assert!(e.message.contains("nesting deeper than 32"), "{e}");
+        }
+        // The frame that used to overflow the stack is now an error.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

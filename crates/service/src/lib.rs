@@ -30,8 +30,7 @@
 //!   device performs **one** characterization;
 //! * [`breaker`] — per-device circuit breakers and a deterministic
 //!   bounded-retry policy around transient characterization failures;
-//! * [`server`] — the front ends (a readiness-driven event loop by
-//!   default, the original thread-per-connection design as a baseline),
+//! * [`server`] — the readiness-driven event-loop front end, the
 //!   worker pool, idle-connection reaper, per-job deadlines, panic
 //!   isolation, and graceful drain;
 //! * [`client`] — the blocking client used by `invmeas submit` and tests,

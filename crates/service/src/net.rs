@@ -3,7 +3,7 @@
 //!
 //! [`NetFabric`] is the single dial/accept choke point for the client,
 //! peer calls, heartbeat probes, forwarding, replication, profile
-//! fetches, and both server front ends. In production it is
+//! fetches, and the server's accept path. In production it is
 //! [`NetFabric::direct`] — a zero-overhead pass-through whose streams
 //! cost one `Option` check per I/O call. Under chaos it carries an
 //! [`Arc<NetFaultPlan>`] and returns [`NetStream`]s armed with
@@ -155,7 +155,12 @@ impl NetFabric {
     /// Delay and slow-write faults are *not* armed here: the accept path
     /// runs on the event loop, where a sleep would stall every
     /// connection; byte-level faults (drop, truncate, duplicate) apply.
+    ///
+    /// Accepted sockets get `TCP_NODELAY`, as dialed ones do: replies are
+    /// small writes, and without it a pipelining client's next reply waits
+    /// on the client's delayed ACK.
     pub fn wrap_accepted(&self, tcp: TcpStream) -> Option<NetStream> {
+        tcp.set_nodelay(true).ok();
         let plan = match &self.inner.plan {
             Some(plan) => plan,
             None => return Some(NetStream { tcp, faults: None }),
@@ -496,6 +501,20 @@ mod tests {
         let (dialed, accepted) = pair();
         let fabric = NetFabric::new("n0", Vec::new(), Some(plan));
         (fabric.wrap(dialed, "n1".to_string(), faults), accepted)
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle() {
+        let plan = Arc::new(NetFaultPlan::new(1));
+        for fabric in [
+            NetFabric::new("n0", Vec::new(), None),
+            NetFabric::new("n0", Vec::new(), Some(plan)),
+        ] {
+            let (_dialed, accepted) = pair();
+            assert!(!accepted.nodelay().unwrap(), "the OS default is Nagle on");
+            let wrapped = fabric.wrap_accepted(accepted).expect("not refused");
+            assert!(wrapped.tcp().nodelay().unwrap());
+        }
     }
 
     #[test]

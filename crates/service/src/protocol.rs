@@ -28,6 +28,7 @@
 //! speak with a `400` error naming the supported version.
 
 use crate::json::Json;
+use qmetrics::WireRule;
 use std::fmt;
 
 /// The protocol version this build speaks.
@@ -658,7 +659,6 @@ impl Response {
                 }
             }
             Response::Status(r) => {
-                let c = &r.counters;
                 pairs.push(("ok", Json::Bool(true)));
                 pairs.push(("op", Json::str("status")));
                 pairs.push(("window", Json::int(r.window)));
@@ -666,57 +666,13 @@ impl Response {
                 pairs.push(("queue_depth", Json::int(r.queue_depth)));
                 pairs.push(("queue_capacity", Json::int(r.queue_capacity)));
                 pairs.push(("draining", Json::Bool(r.draining)));
-                let mut counter_pairs = vec![
-                    ("requests", Json::int(c.requests)),
-                    ("jobs_executed", Json::int(c.jobs_executed)),
-                    ("jobs_failed", Json::int(c.jobs_failed)),
-                    ("busy_rejections", Json::int(c.busy_rejections)),
-                    ("cache_hits", Json::int(c.cache_hits)),
-                    ("cache_misses", Json::int(c.cache_misses)),
-                    ("queue_depth_peak", Json::int(c.queue_depth_peak)),
-                    ("latency_total_us", Json::int(c.latency_total_us)),
-                    ("latency_max_us", Json::int(c.latency_max_us)),
-                    ("faults_injected", Json::int(c.faults_injected)),
-                    ("retries", Json::int(c.retries)),
-                    ("degraded_responses", Json::int(c.degraded_responses)),
-                    ("deadline_expirations", Json::int(c.deadline_expirations)),
-                    ("connections_reaped", Json::int(c.connections_reaped)),
-                    ("breaker_trips", Json::int(c.breaker_trips)),
-                    ("journal_checkpoints", Json::int(c.journal_checkpoints)),
-                    ("resumed_jobs", Json::int(c.resumed_jobs)),
-                    ("profiles_quarantined", Json::int(c.profiles_quarantined)),
-                    ("invariant_clamps", Json::int(c.invariant_clamps)),
-                    ("pool_tasks", Json::int(c.pool_tasks)),
-                    ("barrier_waits", Json::int(c.barrier_waits)),
-                    ("arena_reuse_hits", Json::int(c.arena_reuse_hits)),
-                    ("epoll_wakeups", Json::int(c.epoll_wakeups)),
-                    ("frames_parsed", Json::int(c.frames_parsed)),
-                    (
-                        "write_backpressure_events",
-                        Json::int(c.write_backpressure_events),
-                    ),
-                    ("shard_depth_peak", Json::int(c.shard_depth_peak)),
-                    ("queue_steals", Json::int(c.queue_steals)),
-                    ("forwards", Json::int(c.forwards)),
-                    ("replication_writes", Json::int(c.replication_writes)),
-                    ("failovers", Json::int(c.failovers)),
-                    ("heartbeats_missed", Json::int(c.heartbeats_missed)),
-                    ("stale_map_retries", Json::int(c.stale_map_retries)),
-                ];
-                // Overload/net-fault counters are additive v1 fields:
-                // omitted when zero so pre-fabric peers parse unchanged
-                // frames (same compatibility scheme as `fwd`).
-                for (key, value) in [
-                    ("requests_shed", c.requests_shed),
-                    ("retry_budget_exhausted", c.retry_budget_exhausted),
-                    ("peer_dials_suppressed", c.peer_dials_suppressed),
-                    ("net_faults_injected", c.net_faults_injected),
-                    ("partitions_healed", c.partitions_healed),
-                ] {
-                    if value > 0 {
-                        counter_pairs.push((key, Json::int(value)));
-                    }
-                }
+                let counter_pairs = r
+                    .counters
+                    .rows()
+                    .into_iter()
+                    .filter(|c| c.wire != WireRule::OmitWhenZero || c.value > 0)
+                    .map(|c| (c.key, Json::int(c.value)))
+                    .collect();
                 pairs.push(("counters", Json::obj(counter_pairs)));
             }
             Response::Window { window } => {
@@ -851,48 +807,12 @@ impl Response {
                 let c = v
                     .get("counters")
                     .ok_or_else(|| ProtocolError::new("status response missing counters"))?;
-                let counters = qmetrics::CountersSnapshot {
-                    requests: require_u64(c, "requests")?,
-                    jobs_executed: require_u64(c, "jobs_executed")?,
-                    jobs_failed: require_u64(c, "jobs_failed")?,
-                    busy_rejections: require_u64(c, "busy_rejections")?,
-                    cache_hits: require_u64(c, "cache_hits")?,
-                    cache_misses: require_u64(c, "cache_misses")?,
-                    queue_depth_peak: require_u64(c, "queue_depth_peak")?,
-                    latency_total_us: require_u64(c, "latency_total_us")?,
-                    latency_max_us: require_u64(c, "latency_max_us")?,
-                    // Resilience counters postdate v1's first release;
-                    // default to 0 so older peers still parse.
-                    faults_injected: opt_u64(c, "faults_injected")?.unwrap_or(0),
-                    retries: opt_u64(c, "retries")?.unwrap_or(0),
-                    degraded_responses: opt_u64(c, "degraded_responses")?.unwrap_or(0),
-                    deadline_expirations: opt_u64(c, "deadline_expirations")?.unwrap_or(0),
-                    connections_reaped: opt_u64(c, "connections_reaped")?.unwrap_or(0),
-                    breaker_trips: opt_u64(c, "breaker_trips")?.unwrap_or(0),
-                    journal_checkpoints: opt_u64(c, "journal_checkpoints")?.unwrap_or(0),
-                    resumed_jobs: opt_u64(c, "resumed_jobs")?.unwrap_or(0),
-                    profiles_quarantined: opt_u64(c, "profiles_quarantined")?.unwrap_or(0),
-                    invariant_clamps: opt_u64(c, "invariant_clamps")?.unwrap_or(0),
-                    pool_tasks: opt_u64(c, "pool_tasks")?.unwrap_or(0),
-                    barrier_waits: opt_u64(c, "barrier_waits")?.unwrap_or(0),
-                    arena_reuse_hits: opt_u64(c, "arena_reuse_hits")?.unwrap_or(0),
-                    epoll_wakeups: opt_u64(c, "epoll_wakeups")?.unwrap_or(0),
-                    frames_parsed: opt_u64(c, "frames_parsed")?.unwrap_or(0),
-                    write_backpressure_events: opt_u64(c, "write_backpressure_events")?
-                        .unwrap_or(0),
-                    shard_depth_peak: opt_u64(c, "shard_depth_peak")?.unwrap_or(0),
-                    queue_steals: opt_u64(c, "queue_steals")?.unwrap_or(0),
-                    forwards: opt_u64(c, "forwards")?.unwrap_or(0),
-                    replication_writes: opt_u64(c, "replication_writes")?.unwrap_or(0),
-                    failovers: opt_u64(c, "failovers")?.unwrap_or(0),
-                    heartbeats_missed: opt_u64(c, "heartbeats_missed")?.unwrap_or(0),
-                    stale_map_retries: opt_u64(c, "stale_map_retries")?.unwrap_or(0),
-                    requests_shed: opt_u64(c, "requests_shed")?.unwrap_or(0),
-                    retry_budget_exhausted: opt_u64(c, "retry_budget_exhausted")?.unwrap_or(0),
-                    peer_dials_suppressed: opt_u64(c, "peer_dials_suppressed")?.unwrap_or(0),
-                    net_faults_injected: opt_u64(c, "net_faults_injected")?.unwrap_or(0),
-                    partitions_healed: opt_u64(c, "partitions_healed")?.unwrap_or(0),
-                };
+                let counters = qmetrics::CountersSnapshot::try_build(|key, wire| match wire {
+                    WireRule::Required => require_u64(c, key),
+                    WireRule::DefaultZero | WireRule::OmitWhenZero => {
+                        Ok(opt_u64(c, key)?.unwrap_or(0))
+                    }
+                })?;
                 Ok(Response::Status(StatusResponse {
                     window: require_u64(&v, "window")?,
                     workers: require_u64(&v, "workers")?,
@@ -1225,45 +1145,7 @@ mod tests {
                 queue_depth: 1,
                 queue_capacity: 32,
                 draining: false,
-                counters: qmetrics::CountersSnapshot {
-                    requests: 10,
-                    jobs_executed: 8,
-                    jobs_failed: 0,
-                    busy_rejections: 1,
-                    cache_hits: 7,
-                    cache_misses: 1,
-                    queue_depth_peak: 3,
-                    latency_total_us: 5000,
-                    latency_max_us: 900,
-                    faults_injected: 2,
-                    retries: 3,
-                    degraded_responses: 1,
-                    deadline_expirations: 1,
-                    connections_reaped: 2,
-                    breaker_trips: 1,
-                    journal_checkpoints: 12,
-                    resumed_jobs: 1,
-                    profiles_quarantined: 1,
-                    invariant_clamps: 4,
-                    pool_tasks: 64,
-                    barrier_waits: 17,
-                    arena_reuse_hits: 9,
-                    epoll_wakeups: 41,
-                    frames_parsed: 12,
-                    write_backpressure_events: 2,
-                    shard_depth_peak: 3,
-                    queue_steals: 5,
-                    forwards: 4,
-                    replication_writes: 6,
-                    failovers: 1,
-                    heartbeats_missed: 2,
-                    stale_map_retries: 1,
-                    requests_shed: 3,
-                    retry_budget_exhausted: 2,
-                    peer_dials_suppressed: 5,
-                    net_faults_injected: 7,
-                    partitions_healed: 1,
-                },
+                counters: numbered_counters(),
             }),
             Response::ClusterMap(ClusterMapResponse {
                 members: vec![
@@ -1313,6 +1195,69 @@ mod tests {
             assert!(!line.contains('\n'));
             assert_eq!(Response::from_line(&line).unwrap(), resp, "{line}");
         }
+    }
+
+    /// The snapshot whose i-th counter (in table order) is i + 1.
+    fn numbered_counters() -> qmetrics::CountersSnapshot {
+        let mut next = 0u64;
+        qmetrics::CountersSnapshot::try_build(|_, _| {
+            next += 1;
+            Ok::<u64, ProtocolError>(next)
+        })
+        .expect("infallible")
+    }
+
+    /// Exact status-line bytes, pinned from the hand-written encoder the
+    /// counter table replaced: every key in its old position, and the
+    /// omit-when-zero keys absent from a quiet node's line.
+    #[test]
+    fn status_line_bytes_are_pinned() {
+        let status = |counters| {
+            Response::Status(StatusResponse {
+                window: 2,
+                workers: 4,
+                queue_depth: 1,
+                queue_capacity: 32,
+                draining: false,
+                counters,
+            })
+            .to_line()
+        };
+        assert_eq!(
+            status(numbered_counters()),
+            concat!(
+                r#"{"v":1,"ok":true,"op":"status","window":2,"workers":4,"queue_depth":1,"#,
+                r#""queue_capacity":32,"draining":false,"counters":{"requests":1,"#,
+                r#""jobs_executed":2,"jobs_failed":3,"busy_rejections":4,"cache_hits":5,"#,
+                r#""cache_misses":6,"queue_depth_peak":7,"latency_total_us":8,"#,
+                r#""latency_max_us":9,"faults_injected":10,"retries":11,"#,
+                r#""degraded_responses":12,"deadline_expirations":13,"connections_reaped":14,"#,
+                r#""breaker_trips":15,"journal_checkpoints":16,"resumed_jobs":17,"#,
+                r#""profiles_quarantined":18,"invariant_clamps":19,"pool_tasks":20,"#,
+                r#""barrier_waits":21,"arena_reuse_hits":22,"epoll_wakeups":23,"#,
+                r#""frames_parsed":24,"write_backpressure_events":25,"shard_depth_peak":26,"#,
+                r#""queue_steals":27,"forwards":28,"replication_writes":29,"failovers":30,"#,
+                r#""heartbeats_missed":31,"stale_map_retries":32,"requests_shed":33,"#,
+                r#""retry_budget_exhausted":34,"peer_dials_suppressed":35,"#,
+                r#""net_faults_injected":36,"partitions_healed":37}}"#,
+            )
+        );
+        assert_eq!(
+            status(qmetrics::CountersSnapshot::default()),
+            concat!(
+                r#"{"v":1,"ok":true,"op":"status","window":2,"workers":4,"queue_depth":1,"#,
+                r#""queue_capacity":32,"draining":false,"counters":{"requests":0,"#,
+                r#""jobs_executed":0,"jobs_failed":0,"busy_rejections":0,"cache_hits":0,"#,
+                r#""cache_misses":0,"queue_depth_peak":0,"latency_total_us":0,"#,
+                r#""latency_max_us":0,"faults_injected":0,"retries":0,"degraded_responses":0,"#,
+                r#""deadline_expirations":0,"connections_reaped":0,"breaker_trips":0,"#,
+                r#""journal_checkpoints":0,"resumed_jobs":0,"profiles_quarantined":0,"#,
+                r#""invariant_clamps":0,"pool_tasks":0,"barrier_waits":0,"arena_reuse_hits":0,"#,
+                r#""epoll_wakeups":0,"frames_parsed":0,"write_backpressure_events":0,"#,
+                r#""shard_depth_peak":0,"queue_steals":0,"forwards":0,"replication_writes":0,"#,
+                r#""failovers":0,"heartbeats_missed":0,"stale_map_retries":0}}"#,
+            )
+        );
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! The long-running mitigation server.
 //!
-//! Two front ends share one worker pool and one protocol implementation:
+//! One readiness-driven thread runs every connection: a
+//! [`crate::poll::Poller`] multiplexes the nonblocking listener, a
+//! worker-completion [`crate::poll::Waker`], and every client socket;
+//! [`crate::conn::Conn`] state machines parse newline-delimited frames
+//! incrementally and buffer responses through reusable write buffers, so
+//! thousands of idle connections cost a few KB each instead of a thread
+//! each. Where epoll is unavailable the poller falls back to a portable
+//! implementation, so every target runs this same loop.
 //!
-//! * the **event-loop front end** (default) runs every connection on a
-//!   single readiness-driven thread: a [`crate::poll::Poller`] multiplexes
-//!   the nonblocking listener, a worker-completion [`crate::poll::Waker`],
-//!   and every client socket; [`crate::conn::Conn`] state machines parse
-//!   newline-delimited frames incrementally and buffer responses through
-//!   reusable write buffers, so thousands of idle connections cost a few
-//!   KB each instead of a thread each;
-//! * the **thread-per-connection front end** (`event_loop: false`) is the
-//!   original blocking design, kept as the benchmark baseline and as a
-//!   portability fallback.
-//!
-//! In both, cheap requests (`status`, `health`, `set-window`, `shutdown`)
-//! are answered inline while expensive ones (`submit`, `characterize`,
+//! Cheap requests (`status`, `health`, `set-window`, `shutdown`) are
+//! answered inline while expensive ones (`submit`, `characterize`,
 //! `sleep`, and — on clustered nodes, where it broadcasts to the mesh —
 //! `set-window`) become jobs on the sharded run queue
 //! ([`crate::queue::ShardedQueue`], hashed by connection, drained with
@@ -26,9 +22,8 @@
 //!
 //! * **idle reaper** — a client that hangs without completing a request is
 //!   closed (counted in `connections_reaped`) without ever consuming a
-//!   worker. The threaded front end uses socket read timeouts; the event
-//!   loop folds the same deadline into its poll timeout, so a reap costs a
-//!   timer wakeup instead of a blocked thread;
+//!   worker. The event loop folds the deadline into its poll timeout, so a
+//!   reap costs a timer wakeup instead of a blocked thread;
 //! * **deadlines** — a `submit` carrying `deadline_ms` that is still
 //!   queued when the deadline passes is answered `504` at dequeue, again
 //!   without consuming worker time;
@@ -46,8 +41,7 @@
 //! Graceful shutdown: a `shutdown` request is acknowledged, the server
 //! stops accepting work (new jobs get `503`), the queue is closed, workers
 //! finish every job admitted before the close, and [`Server::serve`]
-//! returns after joining them. The event loop additionally flushes every
-//! buffered response byte before returning.
+//! returns after joining them and flushing every buffered response byte.
 
 use crate::breaker::{BreakerConfig, RetryPolicy};
 use crate::cache::{CacheConfig, CacheError, ProfileCache};
@@ -71,11 +65,10 @@ use qmetrics::{CorrectSet, ReliabilityReport, ServiceCounters};
 use qnoise::{CalibrationDrift, DeviceModel};
 use qsim::BitString;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server configuration. The defaults favour test determinism over raw
@@ -89,9 +82,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded job-queue capacity (jobs beyond this get `503 busy`).
     pub queue_capacity: usize,
-    /// Serve with the readiness-driven event loop (default) or fall back
-    /// to the thread-per-connection front end (the benchmark baseline).
-    pub event_loop: bool,
     /// Run-queue shards, hashed by connection id and drained with work
     /// stealing; `0` picks `min(workers, 8)`. The capacity above stays
     /// global regardless of shard count.
@@ -162,7 +152,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_capacity: 32,
-            event_loop: true,
             queue_shards: 0,
             exec_threads: 1,
             profile_shots: 2048,
@@ -201,36 +190,24 @@ impl ServerConfig {
     }
 }
 
-/// Where a finished job's response goes.
-enum Reply {
-    /// Threaded front end: a handler thread blocks on this channel.
-    Channel(mpsc::Sender<Response>),
-    /// Event-loop front end: the worker serializes the response (off the
-    /// loop thread), queues it for `(conn, seq)`, and wakes the loop.
-    Loop {
-        conn: u64,
-        seq: u64,
-        completions: Arc<Completions>,
-    },
+/// Where a finished job's response goes: the worker serializes the
+/// response (off the loop thread), queues it for `(conn, seq)`, and wakes
+/// the loop.
+struct Reply {
+    conn: u64,
+    seq: u64,
+    completions: Arc<Completions>,
 }
 
 impl Reply {
     fn send(self, response: Response) {
-        match self {
-            // The handler may have disconnected; that only loses the reply.
-            Reply::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Reply::Loop {
-                conn,
-                seq,
-                completions,
-            } => {
-                let line = response.to_line();
-                completions.done.lock().unwrap().push((conn, seq, line));
-                completions.waker.wake();
-            }
-        }
+        let line = response.to_line();
+        self.completions
+            .done
+            .lock()
+            .unwrap()
+            .push((self.conn, self.seq, line));
+        self.completions.waker.wake();
     }
 }
 
@@ -328,9 +305,6 @@ struct State {
     queue: ShardedQueue<Job>,
     local_addr: SocketAddr,
     faults: Arc<dyn FaultInjector>,
-    /// Connection ids for the threaded front end (shard hashing); the
-    /// event loop uses poller tokens instead.
-    conn_ids: AtomicU64,
     cluster: Option<ClusterState>,
     /// The transport every socket goes through — dials (peer calls,
     /// forwards, probes, replication) and accepts alike. Direct in
@@ -471,7 +445,6 @@ impl Server {
                 queue,
                 local_addr,
                 faults,
-                conn_ids: AtomicU64::new(1),
                 cluster,
                 net,
                 retry_budget,
@@ -510,14 +483,9 @@ impl Server {
                 .expect("spawn heartbeat")
         });
 
-        let served = if self.state.config.event_loop {
-            serve_event_loop(&self.listener, &self.state)
-        } else {
-            serve_threaded(&self.listener, &self.state);
-            Ok(())
-        };
+        let served = serve_event_loop(&self.listener, &self.state);
 
-        // Drain: no new jobs are admitted (front ends see `draining`), the
+        // Drain: no new jobs are admitted (the loop saw `draining`), the
         // queue closes, and workers finish everything already accepted.
         self.state.queue.close();
         for w in workers {
@@ -527,222 +495,48 @@ impl Server {
             let _ = h.join();
         }
         served?;
-        self.state
-            .counters
-            .set_faults_injected(self.state.faults.injected());
-        self.state
-            .counters
-            .set_invariant_clamps(invmeas::validate::invariant_clamps());
-        self.state
-            .counters
-            .set_queue_steals(self.state.queue.steals());
-        mirror_simulator_gauges(&self.state.counters);
-        mirror_overload_gauges(&self.state);
+        mirror_gauges(&self.state);
         Ok(self.state.counters.snapshot())
     }
 }
 
-/// Copies the overload-control and fault-fabric tallies (owned by the
-/// retry budget, the dial gate, and the net-fault plan) into the counter
+/// Copies the gauges owned elsewhere — fault plans, the core validation
+/// ledger, the run queue, the simulator's pool and arena, the retry
+/// budget, the dial gate, and the net-fault plan — into the counter
 /// bundle, so every snapshot carries them.
-fn mirror_overload_gauges(state: &State) {
-    state
-        .counters
-        .set_retry_budget_exhausted(state.retry_budget.exhausted());
+fn mirror_gauges(state: &State) {
+    let c = &state.counters;
+    c.set_faults_injected(state.faults.injected());
+    c.set_invariant_clamps(invmeas::validate::invariant_clamps());
+    c.set_queue_steals(state.queue.steals());
+    c.set_pool_tasks(qsim::pool::pool_tasks());
+    c.set_barrier_waits(qsim::pool::barrier_waits());
+    c.set_arena_reuse_hits(qsim::arena::arena_reuse_hits());
+    c.set_retry_budget_exhausted(state.retry_budget.exhausted());
     if let Some(gate) = state.dial_gate.as_ref() {
-        state.counters.set_peer_dials_suppressed(gate.suppressed());
+        c.set_peer_dials_suppressed(gate.suppressed());
     }
     if let Some(plan) = state.net.plan() {
-        state.counters.set_net_faults_injected(plan.injected());
-        state
-            .counters
-            .set_partitions_healed(plan.partitions_healed());
+        c.set_net_faults_injected(plan.injected());
+        c.set_partitions_healed(plan.partitions_healed());
     }
 }
 
-/// Copies the simulator-owned gauges (worker-pool tasks, barrier episodes,
-/// arena reuse) into the service counter bundle, so a single snapshot
-/// carries them alongside the request counters.
-fn mirror_simulator_gauges(counters: &qmetrics::ServiceCounters) {
-    counters.set_pool_tasks(qsim::pool::pool_tasks());
-    counters.set_barrier_waits(qsim::pool::barrier_waits());
-    counters.set_arena_reuse_hits(qsim::arena::arena_reuse_hits());
-}
-
+/// Stops admitting jobs; workers drain what was already accepted. The
+/// event loop sees `draining` on the iteration that handled the
+/// `shutdown` frame, so nothing needs waking.
 fn initiate_shutdown(state: &State) {
     if !state.draining.swap(true, Ordering::SeqCst) {
-        // Stop admitting jobs; workers drain what was already accepted.
         state.queue.close();
-        // Unblock a threaded accept loop with a throwaway connection (the
-        // event loop just sees one more accept it drops while draining).
-        let _ = TcpStream::connect(state.local_addr);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Thread-per-connection front end (benchmark baseline)
-// ---------------------------------------------------------------------------
-
-fn serve_threaded(listener: &TcpListener, state: &Arc<State>) {
-    for stream in listener.incoming() {
-        if state.draining.load(Ordering::SeqCst) {
-            break; // the wake connection that unblocked accept
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue, // transient accept failure
-        };
-        // The fault fabric can refuse the accept (scripted `in → self`
-        // refusal): the socket is dropped, the dialer sees a vanished
-        // peer.
-        let Some(stream) = state.net.wrap_accepted(stream) else {
-            continue;
-        };
-        let state = Arc::clone(state);
-        let _ = std::thread::Builder::new()
-            .name("invmeas-conn".into())
-            .spawn(move || {
-                let _ = handle_connection(stream, &state);
-            });
-    }
-}
-
-/// Whether a read error is the idle timeout firing (spelled `WouldBlock`
-/// on unix, `TimedOut` on windows) rather than a real failure.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn handle_connection(stream: crate::net::NetStream, state: &State) -> std::io::Result<()> {
-    let conn_id = state.conn_ids.fetch_add(1, Ordering::Relaxed);
-    if state.config.idle_timeout_ms > 0 {
-        stream.set_read_timeout(Some(Duration::from_millis(state.config.idle_timeout_ms)))?;
-    }
-    if state.config.write_timeout_ms > 0 {
-        stream.set_write_timeout(Some(Duration::from_millis(state.config.write_timeout_ms)))?;
-    }
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // clean EOF
-            Ok(_) => {}
-            Err(e) if is_timeout(&e) => {
-                // The reaper: this client sat idle (or hung mid-line) past
-                // the timeout without a completed request in flight —
-                // close it without ever having consumed a worker.
-                state.counters.inc_connection_reaped();
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        state.counters.inc_requests();
-        state.counters.add_frames_parsed(1);
-        state.retry_budget.note_request();
-        let (response, shutdown_after) = match Request::from_line(&line) {
-            Err(e) => (Response::bad_request(e.to_string()), false),
-            Ok(Request::Shutdown) => (Response::Shutdown, true),
-            Ok(req) => (handle_request(state, req, conn_id), false),
-        };
-        writer.write_all(response.to_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if shutdown_after {
-            initiate_shutdown(state);
-        }
-    }
-}
-
-fn handle_request(state: &State, request: Request, conn_id: u64) -> Response {
-    match request {
-        Request::Status => status_response(state),
-        Request::Health => health_response(state),
-        Request::SetWindow { window, fwd } => {
-            if !fwd && state.cluster.is_some() {
-                enqueue_and_wait(state, JobKind::SetWindow { window }, None, conn_id)
-            } else {
-                set_window_response(state, window)
-            }
-        }
-        Request::ClusterMap { device } => cluster_map_response(state, device.as_deref()),
-        Request::FetchProfile {
-            device,
-            method,
-            window,
-        } => fetch_profile_response(state, &device, method, window),
-        Request::Submit(r) => {
-            let deadline = r.deadline_ms.map(Duration::from_millis);
-            enqueue_and_wait(state, JobKind::Submit(r), deadline, conn_id)
-        }
-        Request::Characterize(r) => {
-            enqueue_and_wait(state, JobKind::Characterize(r), None, conn_id)
-        }
-        Request::Replicate(r) => enqueue_and_wait(state, JobKind::Replicate(r), None, conn_id),
-        Request::Sleep { ms } => enqueue_and_wait(state, JobKind::Sleep { ms }, None, conn_id),
-        Request::Shutdown => unreachable!("handled by the connection loop"),
-    }
-}
-
-fn enqueue_and_wait(
-    state: &State,
-    kind: JobKind,
-    deadline: Option<Duration>,
-    conn_id: u64,
-) -> Response {
-    if state.draining.load(Ordering::SeqCst) {
-        return Response::busy("busy: server is shutting down");
-    }
-    let (respond, receive) = mpsc::channel();
-    let job = Job {
-        kind,
-        respond: Reply::Channel(respond),
-        enqueued: Instant::now(),
-        deadline,
-    };
-    match state
-        .queue
-        .try_push_or_shed(conn_id, job, Instant::now(), job_class)
-    {
-        Ok((receipt, victim)) => {
-            if let Some(v) = victim {
-                answer_shed(state, v);
-            }
-            state.counters.observe_queue_depth(receipt.depth as u64);
-            state
-                .counters
-                .observe_shard_depth(receipt.shard_depth as u64);
-            receive
-                .recv()
-                .unwrap_or_else(|_| Response::failed("worker dropped the job"))
-        }
-        Err(PushError::Full(_)) => {
-            state.counters.inc_busy_rejection();
-            Response::busy("busy: queue is full")
-        }
-        Err(PushError::Closed(_)) => Response::busy("busy: server is shutting down"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cheap requests (shared by both front ends)
+// Cheap requests
 // ---------------------------------------------------------------------------
 
 fn status_response(state: &State) -> Response {
-    state.counters.set_faults_injected(state.faults.injected());
-    state
-        .counters
-        .set_invariant_clamps(invmeas::validate::invariant_clamps());
-    state.counters.set_queue_steals(state.queue.steals());
-    mirror_simulator_gauges(&state.counters);
-    mirror_overload_gauges(state);
+    mirror_gauges(state);
     Response::Status(StatusResponse {
         window: state.window.load(Ordering::SeqCst),
         workers: state.config.workers as u64,
@@ -960,7 +754,14 @@ fn forward_call(
     let started = Instant::now();
     loop {
         match c.recv_resumable() {
-            Err(client::ClientError::Io(e)) if is_timeout(&e) => {
+            // A read timeout is spelled `WouldBlock` on unix and
+            // `TimedOut` on windows.
+            Err(client::ClientError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
                 if !cl.membership.is_alive(member) || started.elapsed() >= FORWARD_WORK_TIMEOUT {
                     return Err(client::ClientError::Io(e));
                 }
@@ -1210,8 +1011,8 @@ struct EventLoop<'a> {
     completions: Arc<Completions>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Jobs dispatched for event-loop connections whose completions have
-    /// not been applied yet — the drain-exit gate.
+    /// Jobs dispatched whose completions have not been applied yet — the
+    /// drain-exit gate.
     outstanding: usize,
     scratch: Vec<u8>,
     /// Granularity of the reap scan, derived from the configured
@@ -1424,7 +1225,7 @@ impl EventLoop<'_> {
         }
         let job = Job {
             kind,
-            respond: Reply::Loop {
+            respond: Reply {
                 conn: conn.token(),
                 seq,
                 completions: Arc::clone(&self.completions),
@@ -1528,9 +1329,9 @@ impl EventLoop<'_> {
     }
 
     /// The timer wheel's firing edge: closes idle connections past the
-    /// idle timeout (counted in `connections_reaped`, exactly like the
-    /// threaded reaper) and write-stalled connections past the write
-    /// timeout (a socket error in the threaded design, so not counted).
+    /// idle timeout (counted in `connections_reaped`) and write-stalled
+    /// connections past the write timeout (not counted: the client stopped
+    /// reading, it did not idle).
     fn reap(&mut self, now: Instant) {
         let idle = Duration::from_millis(self.state.config.idle_timeout_ms);
         let stall = Duration::from_millis(self.state.config.write_timeout_ms);
@@ -1560,7 +1361,7 @@ impl EventLoop<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool (shared by both front ends)
+// Worker pool
 // ---------------------------------------------------------------------------
 
 fn worker_loop(state: &State, worker: usize) {

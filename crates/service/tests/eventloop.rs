@@ -1,7 +1,7 @@
 //! Event-loop front-end tests (ISSUE 7): queue-shard fairness under a
 //! multi-connection pipelined load, arrival-order independence of results
 //! across shard counts (the PR 3 determinism contract extended to the
-//! sharded queue), and the pipelined client against both front ends.
+//! sharded queue), and pipelined response ordering.
 
 use invmeas_service::{
     CacheOutcome, Client, PolicyKind, Request, Response, Server, ServerConfig, SubmitRequest,
@@ -130,55 +130,52 @@ fn sharded_queue_starves_no_connection_and_results_are_shard_count_independent()
 
 #[test]
 fn pipelined_responses_come_back_in_request_order() {
-    for event_loop in [true, false] {
-        let (addr, handle) = start(ServerConfig {
-            workers: 2,
-            event_loop,
-            ..ServerConfig::default()
-        });
-        let mut client = Client::connect(addr).expect("connect");
-        // A mix whose response *types* encode the order, including jobs
-        // that finish at different times (sleeps) between inline replies.
-        let batch = vec![
-            Request::SetWindow {
-                window: 7,
-                fwd: false,
-            },
-            Request::Sleep { ms: 120 },
-            Request::Health,
-            Request::Sleep { ms: 0 },
-            Request::Status,
-        ];
-        let responses = client.pipeline(&batch).expect("pipeline");
-        assert_eq!(responses.len(), batch.len());
-        assert!(
-            matches!(responses[0], Response::Window { window: 7 }),
-            "{:?}",
-            responses[0]
-        );
-        assert!(
-            matches!(responses[1], Response::Slept { ms: 120 }),
-            "{:?}",
-            responses[1]
-        );
-        assert!(
-            matches!(responses[2], Response::Health(_)),
-            "{:?}",
-            responses[2]
-        );
-        assert!(
-            matches!(responses[3], Response::Slept { ms: 0 }),
-            "{:?}",
-            responses[3]
-        );
-        assert!(
-            matches!(responses[4], Response::Status(_)),
-            "{:?}",
-            responses[4]
-        );
-        drop(client);
-        shutdown(addr, handle);
-    }
+    let (addr, handle) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    // A mix whose response *types* encode the order, including jobs
+    // that finish at different times (sleeps) between inline replies.
+    let batch = vec![
+        Request::SetWindow {
+            window: 7,
+            fwd: false,
+        },
+        Request::Sleep { ms: 120 },
+        Request::Health,
+        Request::Sleep { ms: 0 },
+        Request::Status,
+    ];
+    let responses = client.pipeline(&batch).expect("pipeline");
+    assert_eq!(responses.len(), batch.len());
+    assert!(
+        matches!(responses[0], Response::Window { window: 7 }),
+        "{:?}",
+        responses[0]
+    );
+    assert!(
+        matches!(responses[1], Response::Slept { ms: 120 }),
+        "{:?}",
+        responses[1]
+    );
+    assert!(
+        matches!(responses[2], Response::Health(_)),
+        "{:?}",
+        responses[2]
+    );
+    assert!(
+        matches!(responses[3], Response::Slept { ms: 0 }),
+        "{:?}",
+        responses[3]
+    );
+    assert!(
+        matches!(responses[4], Response::Status(_)),
+        "{:?}",
+        responses[4]
+    );
+    drop(client);
+    shutdown(addr, handle);
 }
 
 #[test]

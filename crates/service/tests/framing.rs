@@ -4,8 +4,7 @@
 //! line is replayed split at **each** byte boundary (two writes with a
 //! pause in between, so the halves really arrive as separate reads), and
 //! two frames are coalesced into a single write to prove the opposite
-//! direction. A threaded-front-end pass guards the baseline the benchmark
-//! compares against.
+//! direction.
 
 use invmeas_service::{PolicyKind, Request, Server, ServerConfig, SubmitRequest};
 use std::io::{BufRead, BufReader, Write};
@@ -159,16 +158,6 @@ fn torture(config: ServerConfig) {
 fn split_frames_are_byte_identical_on_the_event_loop() {
     torture(ServerConfig {
         workers: 2,
-        event_loop: true,
-        ..ServerConfig::default()
-    });
-}
-
-#[test]
-fn split_frames_are_byte_identical_on_the_threaded_baseline() {
-    torture(ServerConfig {
-        workers: 2,
-        event_loop: false,
         ..ServerConfig::default()
     });
 }
@@ -260,7 +249,6 @@ fn pipelined_responses_survive_a_slow_write_fabric() {
 
     let (addr, handle) = start(ServerConfig {
         workers: 2,
-        event_loop: true,
         ..ServerConfig::default()
     });
     // No `health` here: its `queue_depth` legitimately differs between a

@@ -326,3 +326,32 @@ fn protocol_errors_over_the_wire() {
 
     shutdown(addr, handle);
 }
+
+/// One line of 200 000 `[` used to overflow the event-loop thread's stack
+/// and abort the node. It must now be an ordinary `400`, and the node must
+/// keep serving.
+#[test]
+fn deeply_nested_frame_is_rejected_and_the_node_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (addr, handle) = start(ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut frame = "[".repeat(200_000);
+    frame.push('\n');
+    stream.write_all(frame.as_bytes()).expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    match Response::from_line(line.trim_end()).expect("a protocol response") {
+        Response::Error { code, message } => {
+            assert_eq!(code, 400);
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("wrong response {other:?}"),
+    }
+    drop(reader);
+    drop(stream);
+
+    assert!(!status(addr).draining, "a fresh connection is served");
+    shutdown(addr, handle);
+}

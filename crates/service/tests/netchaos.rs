@@ -883,8 +883,12 @@ fn partitioned_owner_leaves_unaffected_devices_fast() {
 
     // Two devices with different owners under this run's port layout:
     // the first candidate's owner gets partitioned, and any device owned
-    // by another node serves as the unaffected control.
-    let candidates = ["ibmqx2", "ibmqx4", "ibmq-melbourne", "ideal-3", "ideal-4"];
+    // by another node serves as the unaffected control. Every candidate
+    // is small: the control's brute warm-up must finish inside the
+    // client's default timeout, and a 14-qubit (`ibmq-melbourne`) brute
+    // characterization takes minutes. The test measures failover
+    // isolation, not characterization cost.
+    let candidates = ["ibmqx2", "ibmqx4", "ideal-3", "ideal-4"];
     let run = |partitioned: bool, sub: &str| -> Option<(Duration, qmetrics::CountersSnapshot)> {
         let ports = pick_ports(3);
         let members: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
