@@ -33,19 +33,6 @@ fn bench_policies(c: &mut Criterion) {
     }
     group.finish();
 
-    // Parallel execution scaling: the same trial budget across worker
-    // threads.
-    let mut par = c.benchmark_group("parallel_execution");
-    par.sample_size(10);
-    let big_shots = 32_768u64;
-    for threads in [1usize, 2, 4, 8] {
-        par.bench_function(format!("threads{threads}"), |b| {
-            let mut rng = bench_rng();
-            b.iter(|| exec.run_parallel(bench.circuit(), big_shots, threads, &mut rng))
-        });
-    }
-    par.finish();
-
     // Profiling cost (AIM's offline phase), which the online benches above
     // exclude: brute force vs the executor-cheap exact path.
     let mut offline = c.benchmark_group("aim_offline_profile");

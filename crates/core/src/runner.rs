@@ -6,7 +6,6 @@
 //! a fluent builder, including automatic RBMS profiling for AIM.
 
 use crate::aim::AdaptiveInvertMeasure;
-use crate::journal::{characterize_journaled, CharSpec, JournalStats};
 use crate::policy::{Baseline, MeasurementPolicy};
 use crate::rbms::RbmsTable;
 use crate::sim::StaticInvertMeasure;
@@ -16,7 +15,6 @@ use qnoise::{DeviceModel, NoisyExecutor};
 use qsim::{Circuit, Counts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Which mitigation policy a [`Runner`] applies.
@@ -51,12 +49,9 @@ pub struct Runner {
     device: DeviceModel,
     executor: NoisyExecutor,
     rng: StdRng,
-    seed: u64,
     profile_shots: u64,
     profile: Option<RbmsTable>,
     faults: Arc<dyn FaultInjector>,
-    journal: Option<PathBuf>,
-    journal_stats: Option<JournalStats>,
 }
 
 impl Runner {
@@ -72,21 +67,16 @@ impl Runner {
             device,
             executor,
             rng: StdRng::seed_from_u64(0x1e4d),
-            seed: 0x1e4d,
             profile_shots: Self::DEFAULT_PROFILE_SHOTS,
             profile: None,
             faults: Arc::new(NoFaults),
-            journal: None,
-            journal_stats: None,
         }
     }
 
-    /// Reseeds the runner's random stream (and the journaled
-    /// characterization job seed, when [`Runner::with_journal`] is set).
+    /// Reseeds the runner's random stream.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.rng = StdRng::seed_from_u64(seed);
-        self.seed = seed;
         self
     }
 
@@ -134,51 +124,10 @@ impl Runner {
         self
     }
 
-    /// Routes automatic profiling through the journaled, resumable
-    /// characterization path ([`characterize_journaled`]), checkpointing
-    /// each completed work unit to `path`. A crashed run left an in-flight
-    /// journal there; the next [`Runner::try_profile`] with the same seed
-    /// and budget resumes it bit-identically. The journal is left in place
-    /// after profiling — callers delete it once the profile is persisted.
-    ///
-    /// Note: the journaled path draws per-unit RNG streams from the job
-    /// seed, so its tables differ numerically (not statistically) from the
-    /// legacy single-stream path used without a journal.
-    #[must_use]
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
-    }
-
-    /// Stats from the most recent journaled profile measurement: how many
-    /// work units the job had, how many checkpoints this run wrote, and
-    /// how many it replayed from a resumed journal. `None` until a
-    /// journaled measurement happens.
-    pub fn last_journal_stats(&self) -> Option<JournalStats> {
-        self.journal_stats
-    }
-
     /// Supplies a pre-measured machine profile (e.g. loaded with
-    /// [`RbmsTable::load`]) instead of measuring one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile width differs from the device.
-    #[must_use]
-    pub fn with_profile(mut self, profile: RbmsTable) -> Self {
-        assert_eq!(
-            profile.width(),
-            self.device.n_qubits(),
-            "profile width must match the device"
-        );
-        self.profile = Some(profile);
-        self
-    }
-
-    /// Injects a machine profile after construction — the mutable-reference
-    /// counterpart of [`Runner::with_profile`], used by long-lived hosts
-    /// (e.g. the mitigation service) that hand one cached [`RbmsTable`] to
-    /// many per-request runners.
+    /// [`RbmsTable::load`]) instead of measuring one. Long-lived hosts
+    /// (e.g. the mitigation service) use it to hand one cached
+    /// [`RbmsTable`] to many per-request runners.
     ///
     /// # Panics
     ///
@@ -240,18 +189,7 @@ impl Runner {
                     _ => {}
                 }
             }
-            let table = if self.journal.is_some() {
-                let spec = self.char_spec();
-                let (table, stats) = characterize_journaled(
-                    &self.executor,
-                    &spec,
-                    self.journal.as_deref(),
-                    self.faults.as_ref(),
-                )
-                .map_err(|e| e.to_string())?;
-                self.journal_stats = Some(stats);
-                table
-            } else if self.device.n_qubits() <= 5 {
+            let table = if self.device.n_qubits() <= 5 {
                 RbmsTable::brute_force(&self.executor, self.profile_shots, &mut self.rng)
             } else {
                 RbmsTable::awct(&self.executor, 4, 2, self.profile_shots, &mut self.rng)
@@ -259,25 +197,6 @@ impl Runner {
             self.profile = Some(table);
         }
         Ok(self.profile.as_ref().expect("just inserted"))
-    }
-
-    /// The journaled characterization job this runner's device and budget
-    /// imply: brute force for ≤ 5 qubits, AWCT windows beyond — the same
-    /// §6.2.1 prescription as the legacy path.
-    fn char_spec(&self) -> CharSpec {
-        let n = self.device.n_qubits();
-        if n <= 5 {
-            CharSpec::brute(self.device.name(), n, self.profile_shots, self.seed)
-        } else {
-            CharSpec::awct(
-                self.device.name(),
-                n,
-                4.min(n),
-                2.min(n - 1),
-                self.profile_shots,
-                self.seed,
-            )
-        }
     }
 
     /// Executes `circuit` for `shots` trials under the chosen policy and
@@ -375,13 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn preloaded_profile_is_used_verbatim() {
-        let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
-        let mut runner = Runner::new(DeviceModel::ibmqx4()).with_profile(table.clone());
-        assert_eq!(runner.profile(), &table);
-    }
-
-    #[test]
     fn injected_profile_replaces_and_clears() {
         let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
         let mut runner = Runner::new(DeviceModel::ibmqx4()).with_profile_shots(128);
@@ -421,13 +333,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "profile width must match")]
-    fn wrong_profile_rejected() {
-        let table = RbmsTable::from_strengths(2, vec![1.0; 4]);
-        let _ = Runner::new(DeviceModel::ibmqx2()).with_profile(table);
-    }
-
-    #[test]
     fn injected_characterization_fault_is_transient() {
         use invmeas_faults::FaultPlan;
 
@@ -451,54 +356,6 @@ mod tests {
         let arrivals = plan.arrivals(FaultSite::Characterize);
         let _ = runner.try_profile().unwrap();
         assert_eq!(plan.arrivals(FaultSite::Characterize), arrivals);
-    }
-
-    #[test]
-    fn journaled_runner_resumes_bit_identically_after_crash() {
-        use invmeas_faults::FaultPlan;
-
-        let dir =
-            std::env::temp_dir().join(format!("invmeas-runner-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ibmqx4.journal");
-        std::fs::remove_file(&path).ok();
-
-        let make = |faults: Option<Arc<dyn FaultInjector>>| {
-            let mut r = Runner::new(DeviceModel::ibmqx4())
-                .with_seed(7)
-                .with_profile_shots(256)
-                .with_journal(&path);
-            if let Some(f) = faults {
-                r = r.with_faults(f);
-            }
-            r
-        };
-
-        // Uninterrupted journaled run is the baseline.
-        let mut clean = make(None);
-        let baseline = clean.profile().clone();
-        let stats = clean.last_journal_stats().unwrap();
-        assert_eq!(stats.checkpoints_written, stats.total_units);
-        std::fs::remove_file(&path).unwrap();
-
-        // Crash mid-run: the scripted panic kills the third checkpoint.
-        let plan: Arc<dyn FaultInjector> = Arc::new(FaultPlan::new(1).on_nth(
-            FaultSite::JournalWrite,
-            3,
-            Fault::Panic("worker died".into()),
-        ));
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            make(Some(plan)).profile().clone()
-        }));
-        assert!(died.is_err(), "scripted crash did not fire");
-
-        // A fresh runner resumes the journal and matches the baseline
-        // byte-for-byte.
-        let mut resumed = make(None);
-        assert_eq!(resumed.profile().to_text(), baseline.to_text());
-        let stats = resumed.last_journal_stats().unwrap();
-        assert_eq!(stats.resumed_units, 2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

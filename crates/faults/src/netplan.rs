@@ -338,9 +338,8 @@ impl NetFaultPlan {
     }
 
     /// A deterministic pseudo-random value in `[0, bound)` derived from
-    /// the plan seed, a key, and an ordinal — same FNV-1a mixing as
-    /// [`FaultPlan::jitter`](crate::FaultPlan::jitter). Returns 0 when
-    /// `bound` is 0.
+    /// the plan seed, a key, and an ordinal — [`jitter`] keyed by the plan
+    /// seed. Returns 0 when `bound` is 0.
     pub fn jitter(&self, key: &str, ordinal: u64, bound: u64) -> u64 {
         jitter(self.seed, key, ordinal, bound)
     }
@@ -502,9 +501,11 @@ impl NetFaultPlan {
     }
 }
 
-/// Free-function jitter with the same mixing as [`FaultPlan::jitter`]
-/// (FNV-1a over the seed, a key, and an ordinal), usable by overload
-/// control without holding a plan.
+/// A deterministic pseudo-random value in `[0, bound)`: FNV-1a over the
+/// seed, a key, and an ordinal, with no RNG state; 0 when `bound` is 0.
+/// The one seeded jitter hash in the workspace: [`FaultPlan::jitter`],
+/// the service's retry backoff and the dial gate all call it, so their
+/// replayed schedules agree.
 ///
 /// [`FaultPlan::jitter`]: crate::FaultPlan::jitter
 pub fn jitter(seed: u64, key: &str, ordinal: u64, bound: u64) -> u64 {

@@ -196,18 +196,10 @@ impl FaultPlan {
     }
 
     /// A deterministic pseudo-random value in `[0, bound)` derived from
-    /// the plan seed, a key, and an ordinal — FNV-1a mixing, no RNG state.
-    /// Returns 0 when `bound` is 0.
+    /// the plan seed, a key, and an ordinal — [`crate::jitter`] keyed by
+    /// the plan seed, no RNG state. Returns 0 when `bound` is 0.
     pub fn jitter(&self, key: &str, ordinal: u64, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        let mut h = 0xcbf29ce484222325u64 ^ self.seed;
-        for b in key.bytes().chain(ordinal.to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h % bound
+        crate::jitter(self.seed, key, ordinal, bound)
     }
 }
 
@@ -325,5 +317,24 @@ mod tests {
             "different seeds should diverge"
         );
         assert_eq!(a.jitter("k", 0, 0), 0);
+    }
+
+    /// Golden jitter values: scripted scenarios derive expectations from
+    /// them, so they must stay byte-identical across refactors of the hash.
+    #[test]
+    fn jitter_values_are_pinned() {
+        let cases: [(u64, &str, u64, u64, u64); 4] = [
+            (5, "retry:ibmqx4", 0, 100, 41),
+            (5, "retry:ibmqx4", 3, 100, 50),
+            (42, "k", 7, 1 << 40, 243_399_880_267),
+            (1, "dial:n2", 1, u64::MAX, 7_543_651_640_759_500_133),
+        ];
+        for (seed, key, ordinal, bound, want) in cases {
+            assert_eq!(
+                FaultPlan::new(seed).jitter(key, ordinal, bound),
+                want,
+                "seed {seed}, key {key}, ordinal {ordinal}"
+            );
+        }
     }
 }

@@ -198,7 +198,7 @@ impl Executor for IdealExecutor {
         // `born_probabilities` strips the trailing X layer and permutes,
         // so inversion variants and basis-state preparations skip most (or
         // all) of the statevector work.
-        let born = StateVector::born_probabilities(circuit);
+        let born = StateVector::born_probabilities(circuit, 1);
         sample_born_counts(self.n_qubits, &born, shots, rng)
     }
 }
@@ -310,10 +310,10 @@ impl NoisyExecutor {
     }
 
     /// Installs a fault injector consulted once per batch-level execution
-    /// call ([`Executor::run`], [`Executor::run_groups`], and
-    /// [`NoisyExecutor::run_parallel`] each register exactly one arrival at
-    /// [`FaultSite::Exec`], never one per worker thread, so a scripted
-    /// plan replays identically under any thread count). The executor
+    /// call ([`Executor::run`] and [`Executor::run_groups`] each register
+    /// exactly one arrival at [`FaultSite::Exec`], never one per worker
+    /// thread, so a scripted plan replays identically under any thread
+    /// count). The executor
     /// applies `Latency` (stall) and `Panic` faults; other kinds are
     /// ignored here because shot execution is infallible by design.
     ///
@@ -345,66 +345,6 @@ impl NoisyExecutor {
         &self.gate_noise
     }
 
-    /// Parallel variant of [`Executor::run`]: splits the shot budget across
-    /// `threads` worker threads (std scoped threads), each with an
-    /// independent RNG stream seeded deterministically from `rng`. For the
-    /// same `rng` state and `threads` count the merged log is reproducible;
-    /// different thread counts yield different (equally valid) samples.
-    ///
-    /// Prefer [`Executor::run_groups`] when the sweep has many circuits:
-    /// its results do not depend on the thread count at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0 or the circuit width mismatches.
-    pub fn run_parallel(
-        &self,
-        circuit: &Circuit,
-        shots: u64,
-        threads: usize,
-        rng: &mut dyn RngCore,
-    ) -> Counts {
-        assert!(threads >= 1, "need at least one thread");
-        assert_eq!(
-            circuit.n_qubits(),
-            self.n_qubits(),
-            "circuit width mismatch"
-        );
-        // One fault arrival per call, checked before any split so the
-        // site's arrival count is independent of `threads`.
-        self.check_exec_fault();
-        if threads == 1 || shots < threads as u64 {
-            return self.run_with_born(circuit, None, shots, rng);
-        }
-        // Deterministic per-worker seeds drawn from the caller's stream.
-        let seeds: Vec<u64> = (0..threads).map(|_| rng.next_u64()).collect();
-        let threads_u = threads as u64;
-        let base = shots / threads_u;
-        let extra = shots % threads_u;
-        let logs: Vec<Counts> = std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .iter()
-                .enumerate()
-                .map(|(t, &seed)| {
-                    let worker_shots = base + u64::from((t as u64) < extra);
-                    scope.spawn(move || {
-                        let mut worker_rng = StdRng::seed_from_u64(seed);
-                        self.run_with_born(circuit, None, worker_shots, &mut worker_rng)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut merged = Counts::new(self.n_qubits());
-        for log in &logs {
-            merged.merge(log);
-        }
-        merged
-    }
-
     /// The exact output distribution of `circuit` under readout noise only
     /// (gate noise is ignored). Cost is `O(k · 2^n)` where `k` is the number
     /// of basis states with non-zero Born probability, so this is cheap for
@@ -421,16 +361,20 @@ impl NoisyExecutor {
         );
         let born = Distribution::from_probabilities(
             circuit.n_qubits(),
-            StateVector::born_probabilities(circuit),
+            StateVector::born_probabilities(circuit, 1),
         );
         self.readout.apply_to_distribution(&born)
     }
 
     /// The worker-thread count to use for a single statevector evolution:
-    /// the configured pool for large registers, serial otherwise.
+    /// the configured pool for large registers, serial otherwise. This is
+    /// the one place a requested width is clamped to the host's hardware
+    /// threads — the qsim kernels run on exactly the width they are given,
+    /// and extra workers beyond the cores only add scheduling overhead.
+    /// The clamp cannot change results: every width is bitwise identical.
     fn sim_threads(&self) -> usize {
         if self.n_qubits() >= THREADED_SIM_MIN_QUBITS {
-            self.threads
+            self.threads.min(qsim::pool::available_threads())
         } else {
             1
         }
@@ -439,7 +383,10 @@ impl NoisyExecutor {
     /// Computes the Born distribution of every circuit in a sweep,
     /// simulating each distinct *base* (the circuit prefix left after
     /// [`Circuit::trailing_x_split`]) exactly once and deriving each
-    /// trailing-X variant by XOR permutation.
+    /// trailing-X variant from it with
+    /// [`StateVector::probabilities_xor`]; X-only circuits go through
+    /// [`StateVector::born_probabilities`], which returns their point mass
+    /// without simulating.
     ///
     /// This is exact in the readout-only regime — a noiseless trailing X
     /// layer is a pure basis permutation — and is bitwise identical to
@@ -447,48 +394,36 @@ impl NoisyExecutor {
     /// that entry point performs the same split-and-permute. Returns `None`
     /// per circuit when gate noise is on (trailing X gates can then fault,
     /// so variants must be simulated in full).
-    fn memoized_borns(&self, circuits: &[Circuit]) -> Vec<Option<Arc<Vec<f64>>>> {
+    fn memoized_borns(&self, circuits: &[Circuit]) -> Vec<Option<Vec<f64>>> {
         if !self.gate_noise.is_ideal() {
             return vec![None; circuits.len()];
         }
         let n = self.n_qubits();
-        let sim_threads = self.sim_threads();
+        let threads = self.sim_threads();
         // `Gate` has no `Hash`/`Eq` (float angles), so bases are matched by
         // linear slice scan — sweeps share a handful of bases at most.
-        let mut bases: Vec<(&[Gate], Arc<Vec<f64>>)> = Vec::new();
-        circuits
+        let mut bases: Vec<(&[Gate], StateVector)> = Vec::new();
+        let borns = circuits
             .iter()
             .map(|c| {
                 let (prefix, mask) = c.trailing_x_split();
-                let base = match bases.iter().find(|(p, _)| *p == prefix) {
-                    Some((_, b)) => Arc::clone(b),
+                if prefix.is_empty() {
+                    return Some(StateVector::born_probabilities(c, threads));
+                }
+                let k = match bases.iter().position(|(p, _)| *p == prefix) {
+                    Some(k) => k,
                     None => {
-                        let b: Arc<Vec<f64>> = Arc::new(if prefix.is_empty() {
-                            let mut probs = vec![0.0; 1usize << n];
-                            probs[0] = 1.0;
-                            probs
-                        } else {
-                            let sv = StateVector::from_gates_threaded(n, prefix, sim_threads);
-                            let probs = sv.probabilities_threaded(sim_threads);
-                            sv.recycle();
-                            probs
-                        });
-                        bases.push((prefix, Arc::clone(&b)));
-                        b
+                        bases.push((prefix, StateVector::from_gates(n, prefix, threads)));
+                        bases.len() - 1
                     }
                 };
-                let m = mask.index();
-                if m == 0 {
-                    Some(base)
-                } else {
-                    let mut probs = vec![0.0; base.len()];
-                    for (i, &p) in base.iter().enumerate() {
-                        probs[i ^ m] = p;
-                    }
-                    Some(Arc::new(probs))
-                }
+                Some(bases[k].1.probabilities_xor(mask.index(), threads))
             })
-            .collect()
+            .collect();
+        for (_, sv) in bases {
+            sv.recycle();
+        }
+        borns
     }
 
     /// Whether synthesizing the log beats sampling `shots` outcomes one by
@@ -556,8 +491,7 @@ impl NoisyExecutor {
             let born = match born {
                 Some(b) => b,
                 None => {
-                    born_owned =
-                        StateVector::born_probabilities_threaded(circuit, self.sim_threads());
+                    born_owned = StateVector::born_probabilities(circuit, self.sim_threads());
                     &born_owned[..]
                 }
             };
@@ -830,53 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_serial_statistics() {
-        let dev = DeviceModel::ibmqx4();
-        let exec = NoisyExecutor::from_device(&dev);
-        let mut c = Circuit::new(5);
-        c.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4);
-        let shots = 40_000;
-        let mut rng = StdRng::seed_from_u64(88);
-        let serial = exec.run(&c, shots, &mut rng);
-        let mut rng = StdRng::seed_from_u64(88);
-        let parallel = exec.run_parallel(&c, shots, 4, &mut rng);
-        assert_eq!(parallel.total(), shots);
-        // Same device physics: the two logs agree statistically.
-        for s in [BitString::zeros(5), BitString::ones(5)] {
-            assert!(
-                (serial.frequency(&s) - parallel.frequency(&s)).abs() < 0.015,
-                "{s}: serial {} vs parallel {}",
-                serial.frequency(&s),
-                parallel.frequency(&s)
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_run_is_deterministic_per_seed_and_thread_count() {
-        let dev = DeviceModel::ibmqx2();
-        let exec = NoisyExecutor::readout_only(&dev);
-        let c = Circuit::uniform_superposition(5);
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            exec.run_parallel(&c, 5_000, 3, &mut rng)
-        };
-        assert_eq!(run(5), run(5));
-        assert_ne!(run(5), run(6));
-    }
-
-    #[test]
-    fn parallel_run_with_tiny_budgets() {
-        let dev = DeviceModel::ibmqx2();
-        let exec = NoisyExecutor::readout_only(&dev);
-        let c = Circuit::new(5);
-        let mut rng = StdRng::seed_from_u64(0);
-        // Fewer shots than threads falls back to serial.
-        assert_eq!(exec.run_parallel(&c, 2, 8, &mut rng).total(), 2);
-        assert_eq!(exec.run_parallel(&c, 0, 4, &mut rng).total(), 0);
-    }
-
-    #[test]
     fn run_groups_is_independent_of_thread_count() {
         let dev = DeviceModel::ibmqx4();
         let circuits: Vec<Circuit> = BitString::all(5)
@@ -925,6 +812,12 @@ mod tests {
         let c = Circuit::new(5);
         let logs = exec.run_groups(std::slice::from_ref(&c), &[0], &mut rng);
         assert_eq!(logs[0].total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one thread")]
+    fn zero_threads_rejected() {
+        let _ = NoisyExecutor::readout_only(&DeviceModel::ibmqx2()).with_threads(0);
     }
 
     #[test]

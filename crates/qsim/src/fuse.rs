@@ -45,7 +45,7 @@
 //! let prog = FusedProgram::from_circuit(&c);
 //! assert!(prog.n_ops() <= 3); // 6 gates collapse into ≤ 3 kernels
 //! let mut sv = StateVector::zero(3);
-//! sv.apply_fused(&prog);
+//! sv.apply_fused(&prog, 1);
 //! let mut reference = StateVector::zero(3);
 //! reference.apply_circuit(&c);
 //! assert!((sv.fidelity(&reference) - 1.0).abs() < 1e-12);
@@ -150,7 +150,7 @@ impl FusedOp {
 ///
 /// Built with [`FusedProgram::from_circuit`] / [`FusedProgram::from_gates`]
 /// and executed by [`StateVector::apply_fused`](crate::StateVector::apply_fused)
-/// or [`StateVector::apply_fused_threaded`](crate::StateVector::apply_fused_threaded).
+/// on any number of pool workers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedProgram {
     n_qubits: usize,

@@ -52,12 +52,10 @@ pub mod counts;
 pub mod density;
 pub mod fuse;
 pub mod gate;
-pub mod optimize;
 pub mod pool;
 pub mod qasm;
 pub mod sampler;
 pub mod statevector;
-pub mod transpile;
 
 pub use bitstring::{BitString, ParseBitStringError, MAX_WIDTH};
 pub use circuit::Circuit;

@@ -51,14 +51,14 @@ pub fn barrier_waits() -> u64 {
 
 /// The number of hardware threads available to this process, detected once.
 ///
-/// Thread-count *requests* above this are requests for oversubscription;
-/// the statevector entry points clamp to it (which cannot change results —
-/// see [`StateVector::apply_fused_threaded`]), while
-/// [`StateVector::apply_fused_with_workers`] honors the exact count for
-/// tests and benchmarks.
+/// Thread-count *requests* above this are requests for oversubscription.
+/// The statevector entry points ([`StateVector::apply_fused`] and the
+/// scans built on it) run on exactly the width they are given, so tests
+/// and benchmarks can pin it; production callers clamp to this first
+/// (`NoisyExecutor::sim_threads` in `qnoise`). The clamp cannot change
+/// results — every width computes bitwise-identical amplitudes.
 ///
-/// [`StateVector::apply_fused_threaded`]: crate::StateVector::apply_fused_threaded
-/// [`StateVector::apply_fused_with_workers`]: crate::StateVector::apply_fused_with_workers
+/// [`StateVector::apply_fused`]: crate::StateVector::apply_fused
 pub fn available_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
@@ -355,7 +355,7 @@ static GLOBAL: Mutex<Option<WorkerPool>> = Mutex::new(None);
 ///
 /// Panics if `threads` is 0 or any worker's `f` panics.
 pub fn run(threads: usize, f: &(dyn Fn(usize) + Sync)) {
-    assert!(threads >= 1, "need at least one worker");
+    assert!(threads >= 1, "need at least one thread");
     if threads == 1 {
         POOL_TASKS.fetch_add(1, Ordering::Relaxed);
         f(0);

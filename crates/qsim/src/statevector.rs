@@ -17,7 +17,7 @@
 //! while [`StateVector::apply_circuit`] keeps the plain gate-by-gate
 //! reference path. Large registers can spread kernel application across
 //! the persistent worker pool ([`crate::pool`]) with
-//! [`StateVector::apply_fused_threaded`]: the whole fused program runs in
+//! [`StateVector::apply_fused`]: the whole fused program runs in
 //! **one** parallel region, ops whose qubits fit a cache-sized tile are
 //! applied tile-by-tile with no synchronization at all, and the remaining
 //! ops cross a lightweight [`crate::pool::SpinBarrier`]. The amplitude
@@ -76,7 +76,7 @@ unsafe impl Send for SharedAmps {}
 unsafe impl Sync for SharedAmps {}
 
 /// Raw `f64` output pointer shared across pool workers writing disjoint
-/// index sets (the probability scans).
+/// index sets (the probability scan).
 struct SharedF64(*mut f64);
 unsafe impl Send for SharedF64 {}
 unsafe impl Sync for SharedF64 {}
@@ -914,41 +914,12 @@ unsafe fn run_schedule(
     }
 }
 
-/// Amplitudes per partial sum in the blocked reductions
-/// ([`StateVector::norm_sqr`]): fixed so serial and pool-threaded
-/// reductions accumulate in exactly the same order and stay bitwise
-/// identical. 4096 `f64` adds per block keeps partial-sum overhead
-/// negligible while giving plenty of blocks to spread across workers.
+/// Amplitudes per partial sum in the blocked norm reduction
+/// ([`StateVector::norm_sqr`]). The rounding is a function of this block
+/// schedule, which journal numerics depend on (DESIGN.md §14,
+/// "Cross-version numerics"): registers under 4096 amplitudes reduce in
+/// one block and match a plain sequential sum exactly.
 const SUM_BLOCK: usize = 4096;
-
-/// Per-block squared-norm partial sums of `amps`, in block order.
-/// `threads > 1` computes blocks on the pool; the per-block arithmetic and
-/// the caller's sequential combine are identical either way.
-fn norm_block_partials(amps: &[C64], threads: usize) -> Vec<f64> {
-    let block_sum = |block: &[C64]| -> f64 { block.iter().map(|a| a.norm_sqr()).sum() };
-    let n_blocks = amps.len().div_ceil(SUM_BLOCK).max(1);
-    if threads <= 1 || n_blocks < 2 {
-        return amps.chunks(SUM_BLOCK).map(block_sum).collect();
-    }
-    let mut partials = vec![0.0f64; n_blocks];
-    let out = SharedF64(partials.as_mut_ptr());
-    // Borrow the wrapper (not its pointer field) so the closure capture
-    // stays `Sync`.
-    let out = &out;
-    pool::run(threads, &|w| {
-        let chunk = n_blocks.div_ceil(threads);
-        let b0 = (w * chunk).min(n_blocks);
-        let b1 = ((w + 1) * chunk).min(n_blocks);
-        for b in b0..b1 {
-            let lo = b * SUM_BLOCK;
-            let hi = (lo + SUM_BLOCK).min(amps.len());
-            // SAFETY: workers write disjoint `partials` entries and the
-            // dispatch completes before `partials` is read.
-            unsafe { *out.0.add(b) = block_sum(&amps[lo..hi]) };
-        }
-    });
-    partials
-}
 
 /// A pure quantum state over `n` qubits as `2^n` complex amplitudes.
 ///
@@ -1034,37 +1005,32 @@ impl StateVector {
         StateVector { n_qubits, amps }
     }
 
-    /// Runs `circuit` from `|0…0⟩` and returns the final state.
+    /// Runs `circuit` from `|0…0⟩` and returns the final state — the
+    /// one-thread convenience form of [`StateVector::from_gates`].
     ///
     /// The circuit is gate-fused and run through the specialized kernels
     /// (see [`crate::fuse`]); results agree with the gate-by-gate reference
     /// path ([`StateVector::apply_circuit`]) to ~1e-15 per amplitude.
     pub fn from_circuit(circuit: &Circuit) -> Self {
-        Self::from_gates(circuit.n_qubits(), circuit.gates())
+        Self::from_gates(circuit.n_qubits(), circuit.gates(), 1)
     }
 
-    /// Like [`StateVector::from_circuit`], but spreads kernel application
-    /// across `threads` scoped worker threads. Bitwise identical to the
-    /// serial path for every thread count; worthwhile only for large
-    /// registers (the executor gates it at ≥ 15 qubits).
-    pub fn from_circuit_with_threads(circuit: &Circuit, threads: usize) -> Self {
-        Self::from_gates_threaded(circuit.n_qubits(), circuit.gates(), threads)
-    }
-
-    /// Runs a gate slice from `|0…0⟩` over an `n_qubits` register — the
-    /// fused evolution entry point for circuit *prefixes* (e.g. the base
-    /// circuit shared by a family of inversion variants, see
-    /// [`Circuit::trailing_x_split`]).
-    pub fn from_gates(n_qubits: usize, gates: &[Gate]) -> Self {
-        Self::from_gates_threaded(n_qubits, gates, 1)
-    }
-
-    /// Threaded variant of [`StateVector::from_gates`].
-    pub fn from_gates_threaded(n_qubits: usize, gates: &[Gate], threads: usize) -> Self {
+    /// Runs a gate slice from `|0…0⟩` over an `n_qubits` register on
+    /// exactly `threads` pool workers ([`StateVector::apply_fused`]) — the
+    /// fused evolution entry point for whole circuits and for circuit
+    /// *prefixes* (e.g. the base circuit shared by a family of inversion
+    /// variants, see [`Circuit::trailing_x_split`]). Bitwise identical for
+    /// every thread count; worthwhile only for large registers (the
+    /// executor gates it at ≥ 15 qubits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn from_gates(n_qubits: usize, gates: &[Gate], threads: usize) -> Self {
         let mut sv = StateVector::zero(n_qubits);
         let prog = FusedProgram::from_gates(n_qubits, gates);
         CIRCUIT_SIMULATIONS.fetch_add(1, Ordering::Relaxed);
-        sv.apply_fused_threaded(&prog, threads);
+        sv.apply_fused(&prog, threads);
         sv
     }
 
@@ -1083,59 +1049,27 @@ impl StateVector {
     /// The squared 2-norm (should be 1 up to float error).
     ///
     /// Accumulated as fixed-width block partial sums combined in block
-    /// order, so [`StateVector::norm_sqr_threaded`] is bitwise identical
-    /// for every thread count (registers under `SUM_BLOCK` = 4096
-    /// amplitudes reduce in one block and match a plain sequential sum
-    /// exactly). Note this blocked order is a numerics change versus
-    /// pre-pool releases for larger registers — a version boundary the
-    /// journal format tracks (see DESIGN.md §14, "Cross-version
-    /// numerics").
+    /// order (registers under `SUM_BLOCK` = 4096 amplitudes reduce in one
+    /// block and match a plain sequential sum exactly). Note this blocked
+    /// order is a numerics change versus pre-pool releases for larger
+    /// registers — a version boundary the journal format tracks (see
+    /// DESIGN.md §14, "Cross-version numerics").
     pub fn norm_sqr(&self) -> f64 {
-        self.norm_sqr_threaded(1)
-    }
-
-    /// Pool-threaded [`StateVector::norm_sqr`]: block partial sums are
-    /// computed on `threads` workers and combined sequentially — bitwise
-    /// identical to the serial reduction.
-    pub fn norm_sqr_threaded(&self, threads: usize) -> f64 {
-        let threads = threads.min(pool::available_threads());
-        norm_block_partials(&self.amps, threads).iter().sum()
+        self.amps
+            .chunks(SUM_BLOCK)
+            .map(|block| block.iter().map(|a| a.norm_sqr()).sum::<f64>())
+            .sum()
     }
 
     /// Renormalizes in place (useful after non-unitary trajectory jumps).
     pub fn normalize(&mut self) {
-        self.normalize_threaded(1);
-    }
-
-    /// Pool-threaded [`StateVector::normalize`]: the norm reduction and
-    /// the scaling sweep both run on `threads` workers, bitwise identical
-    /// to the serial path for every thread count (the norm is the blocked
-    /// reduction, and scaling is elementwise).
-    pub fn normalize_threaded(&mut self, threads: usize) {
-        let threads = threads.min(pool::available_threads()).max(1);
-        let n = self.norm_sqr_threaded(threads).sqrt();
+        let n = self.norm_sqr().sqrt();
         if n <= 0.0 {
             return;
         }
-        let dim = self.amps.len();
-        if threads == 1 || dim < (1 << 15) {
-            for a in &mut self.amps {
-                *a = *a / n;
-            }
-            return;
+        for a in &mut self.amps {
+            *a = *a / n;
         }
-        let shared = SharedAmps(self.amps.as_mut_ptr());
-        let shared = &shared;
-        pool::run(threads, &|w| {
-            let chunk = dim.div_ceil(threads);
-            let start = (w * chunk).min(dim);
-            let end = ((w + 1) * chunk).min(dim);
-            for i in start..end {
-                // SAFETY: workers scale disjoint index ranges; the
-                // dispatch completes before `amps` is used again.
-                unsafe { *shared.0.add(i) = *shared.0.add(i) / n };
-            }
-        });
     }
 
     /// Applies a single gate in place through its specialized kernel:
@@ -1162,50 +1096,27 @@ impl StateVector {
         unsafe { apply_op_groups(self.amps.as_mut_ptr(), op, 0..n_groups) }
     }
 
-    /// Applies a fused program serially through the cache-tiled schedule —
-    /// below-tile ops stream tile by tile, the rest run as full kernel
-    /// sweeps (see [`crate::fuse::FusedProgram`]).
+    /// Applies a fused program on exactly `workers` persistent pool
+    /// workers, executing the whole program in **one** parallel region:
+    /// consecutive below-tile ops run tile-by-tile with no
+    /// synchronization, other ops as chunked full sweeps, with one
+    /// [`SpinBarrier`] wait per phase (see [`crate::fuse::FusedProgram`]).
+    /// One worker runs the same schedule on the caller with no barrier.
     ///
-    /// # Panics
-    ///
-    /// Panics if the program was compiled for more qubits than the state.
-    pub fn apply_fused(&mut self, prog: &FusedProgram) {
-        self.apply_fused_with_workers(prog, 1);
-    }
-
-    /// Applies a fused program on up to `threads` persistent pool workers,
-    /// executing the whole program in **one** parallel region: consecutive
-    /// below-tile ops run tile-by-tile with no synchronization, other ops
-    /// as chunked full sweeps, with one [`SpinBarrier`] wait per phase.
-    ///
-    /// `threads` is a parallelism *request*: it is clamped to
-    /// [`pool::available_threads`], because extra workers beyond physical
-    /// cores only add scheduling overhead. The clamp cannot change results
-    /// — every worker count computes the same per-group arithmetic over
-    /// disjoint group sets, so the result is **bitwise identical for every
-    /// thread count** (the invariant journal resume relies on). Callers
-    /// should still gate on size (the executor uses ≥ 15 qubits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0` or the program was compiled for more qubits
-    /// than the state.
-    pub fn apply_fused_threaded(&mut self, prog: &FusedProgram, threads: usize) {
-        assert!(threads >= 1, "need at least one thread");
-        self.apply_fused_with_workers(prog, threads.min(pool::available_threads()));
-    }
-
-    /// Like [`StateVector::apply_fused_threaded`] but runs on **exactly**
-    /// `workers` pool workers, even past the physical core count. Tests
-    /// and benchmarks use this to pin the dispatch width; production code
-    /// should prefer the clamped entry point.
+    /// The width is honored as given, even past the physical core count —
+    /// tests and benchmarks pin it through this entry point, and
+    /// production callers clamp first (the executor clamps to
+    /// [`pool::available_threads`]). Every worker count computes the same
+    /// per-group arithmetic over disjoint group sets, so the result is
+    /// **bitwise identical for every width** (the invariant journal resume
+    /// relies on).
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0` or the program was compiled for more qubits
     /// than the state.
-    pub fn apply_fused_with_workers(&mut self, prog: &FusedProgram, workers: usize) {
-        assert!(workers >= 1, "need at least one worker");
+    pub fn apply_fused(&mut self, prog: &FusedProgram, workers: usize) {
+        assert!(workers >= 1, "need at least one thread");
         assert!(
             prog.n_qubits() <= self.n_qubits,
             "program acts on more qubits than the state has"
@@ -1265,36 +1176,10 @@ impl StateVector {
         }
     }
 
-    /// The Born-rule probability of each basis state (length `2^n`).
+    /// The Born-rule probability of each basis state (length `2^n`): the
+    /// serial [`StateVector::probabilities_xor`] with mask 0.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.probabilities_threaded(1)
-    }
-
-    /// Pool-threaded [`StateVector::probabilities`]: the `O(2^n)` scan is
-    /// chunked across `threads` workers. Elementwise, so bitwise identical
-    /// to the serial scan for every thread count; small registers fall
-    /// back to the serial loop.
-    pub fn probabilities_threaded(&self, threads: usize) -> Vec<f64> {
-        let threads = threads.min(pool::available_threads());
-        let dim = self.amps.len();
-        if threads <= 1 || dim < (1 << 15) {
-            return self.amps.iter().map(|a| a.norm_sqr()).collect();
-        }
-        let mut probs = vec![0.0; dim];
-        let out = SharedF64(probs.as_mut_ptr());
-        let out = &out;
-        let amps = &self.amps;
-        pool::run(threads, &|w| {
-            let chunk = dim.div_ceil(threads);
-            let start = (w * chunk).min(dim);
-            let end = ((w + 1) * chunk).min(dim);
-            for (i, a) in amps[start..end].iter().enumerate() {
-                // SAFETY: workers write disjoint output ranges; the
-                // dispatch completes before `probs` is read.
-                unsafe { *out.0.add(start + i) = a.norm_sqr() };
-            }
-        });
-        probs
+        self.probabilities_xor(0, 1)
     }
 
     /// The Born distribution of this state with a trailing X layer applied
@@ -1307,38 +1192,40 @@ impl StateVector {
     /// extra statevector. This is the primitive behind inversion-variant
     /// amortization: one base simulation serves every X-layer variant.
     ///
-    /// # Panics
-    ///
-    /// Panics if `mask` has bits beyond the register.
-    pub fn probabilities_xor(&self, mask: usize) -> Vec<f64> {
-        self.probabilities_xor_threaded(mask, 1)
-    }
-
-    /// Pool-threaded [`StateVector::probabilities_xor`]. XOR with a fixed
-    /// mask is a bijection, so workers scanning disjoint input chunks
-    /// write disjoint output indices; the per-entry arithmetic is
-    /// unchanged, keeping the result bitwise identical for every thread
-    /// count. Small registers fall back to the serial loop.
+    /// The scan is chunked across exactly `threads` pool workers. XOR with
+    /// a fixed mask is a bijection, so workers scanning disjoint input
+    /// chunks write disjoint output indices and the per-entry arithmetic
+    /// is unchanged: the result is bitwise identical for every thread
+    /// count. Registers under 2^15 amplitudes scan serially, where
+    /// dispatch costs more than the sweep.
     ///
     /// # Panics
     ///
-    /// Panics if `mask` has bits beyond the register.
-    pub fn probabilities_xor_threaded(&self, mask: usize, threads: usize) -> Vec<f64> {
+    /// Panics if `threads == 0` or `mask` has bits beyond the register.
+    pub fn probabilities_xor(&self, mask: usize, threads: usize) -> Vec<f64> {
+        assert!(threads >= 1, "need at least one thread");
         assert!(
             mask < self.amps.len(),
             "mask {mask:#x} outside the {}-qubit register",
             self.n_qubits
         );
-        let threads = threads.min(pool::available_threads());
         let dim = self.amps.len();
+        let serial = threads == 1 || dim < (1 << 15);
+        if serial && mask == 0 {
+            // The identity relabel: a straight collect vectorizes, the
+            // indexed scatter below does not.
+            return self.amps.iter().map(|a| a.norm_sqr()).collect();
+        }
         let mut probs = vec![0.0; dim];
-        if threads <= 1 || dim < (1 << 15) {
+        if serial {
             for (i, a) in self.amps.iter().enumerate() {
                 probs[i ^ mask] = a.norm_sqr();
             }
             return probs;
         }
         let out = SharedF64(probs.as_mut_ptr());
+        // Borrow the wrapper (not its pointer field) so the closure capture
+        // stays `Sync`.
         let out = &out;
         let amps = &self.amps;
         pool::run(threads, &|w| {
@@ -1363,15 +1250,16 @@ impl StateVector {
     /// basis-state preparation, and every inversion variant of one) **no
     /// statevector is built at all** — the result is a point mass, and
     /// [`simulation_count`] does not move.
-    pub fn born_probabilities(circuit: &Circuit) -> Vec<f64> {
-        Self::born_probabilities_threaded(circuit, 1)
-    }
-
-    /// Threaded variant of [`StateVector::born_probabilities`]; the prefix
-    /// simulation *and* the XOR probability scan (if any) run on `threads`
-    /// pool workers, and the prefix state's buffer is recycled through the
+    ///
+    /// The prefix simulation and the scan run on exactly `threads` pool
+    /// workers, and the prefix state's buffer is recycled through the
     /// arena.
-    pub fn born_probabilities_threaded(circuit: &Circuit, threads: usize) -> Vec<f64> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`.
+    pub fn born_probabilities(circuit: &Circuit, threads: usize) -> Vec<f64> {
+        assert!(threads >= 1, "need at least one thread");
         let (prefix, mask) = circuit.trailing_x_split();
         let m = mask.index();
         if prefix.is_empty() {
@@ -1379,8 +1267,8 @@ impl StateVector {
             probs[m] = 1.0;
             return probs;
         }
-        let sv = StateVector::from_gates_threaded(circuit.n_qubits(), prefix, threads);
-        let probs = sv.probabilities_xor_threaded(m, threads);
+        let sv = StateVector::from_gates(circuit.n_qubits(), prefix, threads);
+        let probs = sv.probabilities_xor(m, threads);
         sv.recycle();
         probs
     }

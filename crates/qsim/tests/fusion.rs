@@ -201,10 +201,10 @@ fn threaded_apply_is_bitwise_identical_to_serial() {
         let c = random_circuit(n, len, &mut rng);
         let prog = FusedProgram::from_circuit(&c);
         let mut serial = StateVector::zero(n);
-        serial.apply_fused(&prog);
+        serial.apply_fused(&prog, 1);
         for threads in [1, 2, 8] {
             let mut threaded = StateVector::zero(n);
-            threaded.apply_fused_threaded(&prog, threads);
+            threaded.apply_fused(&prog, threads);
             for (i, (a, b)) in serial
                 .amplitudes()
                 .iter()
@@ -228,7 +228,7 @@ fn probabilities_xor_matches_explicit_inversion_simulation() {
         let c = random_circuit(n, rng.gen_range(0..40), &mut rng);
         let mask = BitString::from_value(rng.gen_range(0u64..(1u64 << n)), n);
         let base = StateVector::from_circuit(&c);
-        let fast = base.probabilities_xor(mask.index());
+        let fast = base.probabilities_xor(mask.index(), 1);
         let explicit =
             StateVector::from_circuit(&c.with_premeasure_inversion(mask)).probabilities();
         for (i, (f, e)) in fast.iter().zip(&explicit).enumerate() {
@@ -251,7 +251,7 @@ fn born_probabilities_equals_full_simulation() {
             let mask = BitString::from_value(rng.gen_range(0u64..(1u64 << n)), n);
             c = c.with_premeasure_inversion(mask);
         }
-        let fast = StateVector::born_probabilities(&c);
+        let fast = StateVector::born_probabilities(&c, 1);
         let full = StateVector::from_circuit(&c).probabilities();
         for (i, (f, e)) in fast.iter().zip(&full).enumerate() {
             assert!(
@@ -266,7 +266,7 @@ fn born_probabilities_equals_full_simulation() {
 fn born_probabilities_point_mass_for_x_only_circuits() {
     for s in BitString::all(4) {
         let prep = Circuit::basis_state_preparation(s);
-        let p = StateVector::born_probabilities(&prep);
+        let p = StateVector::born_probabilities(&prep, 1);
         for (i, &pi) in p.iter().enumerate() {
             let expect = if i == s.index() { 1.0 } else { 0.0 };
             assert_eq!(pi, expect, "state {s}, entry {i}");

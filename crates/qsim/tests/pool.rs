@@ -89,11 +89,11 @@ fn pooled_apply_is_bitwise_identical_for_every_worker_count() {
         let prog = FusedProgram::from_circuit(&circuit);
 
         let mut serial = StateVector::zero(n);
-        serial.apply_fused_with_workers(&prog, 1);
+        serial.apply_fused(&prog, 1);
 
         for workers in [2usize, 3, 4, 8] {
             let mut pooled = StateVector::zero(n);
-            pooled.apply_fused_with_workers(&prog, workers);
+            pooled.apply_fused(&prog, workers);
             assert_bitwise_eq(
                 &serial,
                 &pooled,
@@ -132,11 +132,11 @@ fn pooled_apply_is_bitwise_identical_across_tiles_and_global_phases() {
         let prog = FusedProgram::from_circuit(&circuit);
 
         let mut serial = StateVector::zero(n);
-        serial.apply_fused_with_workers(&prog, 1);
+        serial.apply_fused(&prog, 1);
 
         for workers in [2usize, 3, 4, 8] {
             let mut pooled = StateVector::zero(n);
-            pooled.apply_fused_with_workers(&prog, workers);
+            pooled.apply_fused(&prog, workers);
             assert_bitwise_eq(
                 &serial,
                 &pooled,
@@ -157,7 +157,7 @@ fn pool_is_reused_across_successive_programs() {
     let before = qsim::pool::pool_tasks();
     for _ in 0..4 {
         let mut sv = StateVector::zero(n);
-        sv.apply_fused_with_workers(&prog, 4);
+        sv.apply_fused(&prog, 4);
         sv.recycle();
     }
     let after = qsim::pool::pool_tasks();
@@ -170,29 +170,23 @@ fn pool_is_reused_across_successive_programs() {
     );
 }
 
-/// Threaded reductions and scans match their serial counterparts bitwise:
-/// the blocked partial-sum schedule is thread-count invariant.
+/// The Born scan matches its serial form bitwise at every width: XOR
+/// relabeling is elementwise, so chunking cannot change a single entry.
 #[test]
 fn threaded_scans_match_serial_bitwise() {
     let mut rng = StdRng::seed_from_u64(0xBA55_1234);
-    // 16 qubits crosses the `dim >= 1 << 15` gate so the pooled paths
-    // actually engage rather than falling back to serial.
+    // 16 qubits crosses the `dim >= 1 << 15` gate so the pooled path
+    // actually engages rather than falling back to serial.
     let n = 16usize;
     let circuit = random_circuit(n, 24, &mut rng);
     let sv = StateVector::from_circuit(&circuit);
 
-    let norm_serial = sv.norm_sqr();
     let probs_serial = sv.probabilities();
     let mask = rng.gen_range(0..1usize << n);
-    let xor_serial = sv.probabilities_xor(mask);
+    let xor_serial = sv.probabilities_xor(mask, 1);
 
     for threads in [2usize, 4, 8] {
-        assert_eq!(
-            norm_serial.to_bits(),
-            sv.norm_sqr_threaded(threads).to_bits(),
-            "norm_sqr differs at {threads} threads"
-        );
-        let probs = sv.probabilities_threaded(threads);
+        let probs = sv.probabilities_xor(0, threads);
         assert!(
             probs
                 .iter()
@@ -200,7 +194,7 @@ fn threaded_scans_match_serial_bitwise() {
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "probabilities differ at {threads} threads"
         );
-        let xor = sv.probabilities_xor_threaded(mask, threads);
+        let xor = sv.probabilities_xor(mask, threads);
         assert!(
             xor.iter()
                 .zip(&xor_serial)
@@ -208,14 +202,36 @@ fn threaded_scans_match_serial_bitwise() {
             "probabilities_xor differs at {threads} threads"
         );
     }
+}
 
-    let mut norm_a = sv.clone();
-    norm_a.normalize();
-    for threads in [2usize, 4, 8] {
-        let mut norm_b = sv.clone();
-        norm_b.normalize_threaded(threads);
-        assert_bitwise_eq(&norm_a, &norm_b, &format!("normalize at {threads} threads"));
-    }
+/// Runs `call` and asserts it panics with the shared zero-width message.
+fn assert_rejects_zero_threads(name: &str, call: impl FnOnce()) {
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+        .expect_err(&format!("{name} accepted zero threads"));
+    let msg = err
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| err.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert_eq!(msg, "need at least one thread", "{name}");
+}
+
+/// One meaning for a zero thread count: every qsim entry point that takes
+/// one panics with the same message as `NoisyExecutor::with_threads`.
+#[test]
+fn zero_threads_panics_at_every_entry_point() {
+    let circuit = Circuit::uniform_superposition(3);
+    let prog = FusedProgram::from_circuit(&circuit);
+    let sv = StateVector::from_circuit(&circuit);
+    assert_rejects_zero_threads("apply_fused", || StateVector::zero(3).apply_fused(&prog, 0));
+    assert_rejects_zero_threads("from_gates", || {
+        drop(StateVector::from_gates(3, circuit.gates(), 0))
+    });
+    assert_rejects_zero_threads("born_probabilities", || {
+        drop(StateVector::born_probabilities(&circuit, 0))
+    });
+    assert_rejects_zero_threads("probabilities_xor", || drop(sv.probabilities_xor(0, 0)));
+    assert_rejects_zero_threads("pool::run", || qsim::pool::run(0, &|_| {}));
 }
 
 /// Recycled statevectors feed later allocations: a batch-style sweep after
@@ -239,7 +255,7 @@ fn arena_reuses_buffers_across_batch_runs() {
                 "run {run}: arena handed out a dirty buffer at index {i}: {amp:?}"
             );
         }
-        sv.apply_fused_with_workers(&prog, 1);
+        sv.apply_fused(&prog, 1);
         match &reference {
             None => reference = Some(sv),
             Some(r) => {

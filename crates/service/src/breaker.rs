@@ -6,8 +6,9 @@
 //!
 //! * [`RetryPolicy`] — transient characterization failures are retried a
 //!   bounded number of times with exponential backoff plus *deterministic*
-//!   jitter (an FNV hash of seed, key, and attempt — no RNG state), so a
-//!   replayed fault plan produces the same retry schedule every run.
+//!   jitter ([`invmeas_faults::jitter`], an FNV hash of seed, key, and
+//!   attempt — no RNG state), so a replayed fault plan produces the same
+//!   retry schedule every run.
 //! * [`CircuitBreaker`] — after enough consecutive failures (or enough
 //!   consecutive drift-threshold trips, which mean the profile keeps going
 //!   stale faster than we can re-measure), the breaker *opens*: requests
@@ -21,6 +22,8 @@
 //! strengths are stable across calibration windows (§6.1), and averaged or
 //! slightly out-of-date profiles still rank states usefully — mitigation
 //! degrades gracefully rather than failing closed.
+
+use invmeas_faults::jitter;
 
 /// Breaker tuning, shared by every device's breaker.
 #[derive(Debug, Clone, Copy)]
@@ -190,18 +193,8 @@ impl RetryPolicy {
             return 0;
         }
         let exp = self.base_backoff_ms.saturating_mul(1u64 << attempt.min(16));
-        exp + deterministic_jitter(seed, key, attempt) % self.base_backoff_ms
+        exp + jitter(seed, key, u64::from(attempt), self.base_backoff_ms)
     }
-}
-
-/// FNV-1a over the seed, key bytes, and attempt ordinal.
-fn deterministic_jitter(seed: u64, key: &str, attempt: u32) -> u64 {
-    let mut h = 0xcbf29ce484222325u64 ^ seed;
-    for b in key.bytes().chain(u64::from(attempt).to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -296,5 +289,31 @@ mod tests {
             base_backoff_ms: 0,
         };
         assert_eq!(zero.backoff_ms(1, "x", 0), 0);
+    }
+
+    /// Golden retry schedules: the backoff (and so every replayed retry
+    /// timeline) must stay byte-identical across refactors of the jitter
+    /// hash.
+    #[test]
+    fn backoff_schedule_is_pinned() {
+        let cases: [(u64, &str, u32, u64, u64); 4] = [
+            (0, "ibmqx4", 0, 45, 1320),
+            (0, "ibmqx4", 1, 54, 2729),
+            (7, "ibmqx2", 2, 115, 4215),
+            (0xdead_beef, "ibmq_melbourne", 5, 817, 32942),
+        ];
+        for (seed, key, attempt, at_25, at_1000) in cases {
+            for (base, want) in [(25, at_25), (1000, at_1000)] {
+                let p = RetryPolicy {
+                    max_retries: 8,
+                    base_backoff_ms: base,
+                };
+                assert_eq!(
+                    p.backoff_ms(seed, key, attempt),
+                    want,
+                    "seed {seed}, key {key}, attempt {attempt}, base {base}"
+                );
+            }
+        }
     }
 }
