@@ -4,6 +4,7 @@
 //! policy; the grammar is small enough that explicit parsing is clearer
 //! than a derive anyway.
 
+use invmeas::CharMethod;
 use std::fmt;
 
 /// A parsed CLI invocation.
@@ -30,17 +31,6 @@ pub enum Command {
     Help,
 }
 
-/// Which characterization technique to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Prepare and measure every basis state.
-    Brute,
-    /// Equal-superposition characterization.
-    Esct,
-    /// Sliding-window characterization.
-    Awct,
-}
-
 /// Which measurement policy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
@@ -58,7 +48,7 @@ pub struct CharacterizeArgs {
     /// Device name (`ibmqx2`, `ibmqx4`, `ibmq-melbourne`, `ideal-N`).
     pub device: String,
     /// Technique.
-    pub method: Method,
+    pub method: CharMethod,
     /// Trial budget (meaning depends on the technique).
     pub shots: u64,
     /// Optional output profile path.
@@ -67,11 +57,9 @@ pub struct CharacterizeArgs {
     pub seed: u64,
     /// Worker threads for batched sweeps (`None` = all available cores).
     pub threads: Option<usize>,
-    /// Optional checkpoint-journal path (defaults to `<out>.journal` when
-    /// `--resume` is given with `--out`).
+    /// Optional checkpoint-journal path; a matching journal already there
+    /// is resumed.
     pub journal: Option<String>,
-    /// Resume from an existing checkpoint journal instead of starting over.
-    pub resume: bool,
     /// Optional `faultplan v1` script for chaos testing the journal path.
     pub fault_plan: Option<String>,
 }
@@ -189,7 +177,7 @@ pub enum SvcOp {
         /// Device name.
         device: String,
         /// Technique.
-        method: Method,
+        method: CharMethod,
         /// Trial budget (0 = server default).
         shots: u64,
     },
@@ -234,7 +222,7 @@ USAGE:
   invmeas devices
   invmeas characterize --device <NAME> [--method brute|esct|awct]
                        [--shots N] [--out FILE] [--seed N] [--threads N]
-                       [--journal FILE] [--resume] [--fault-plan FILE]
+                       [--journal FILE] [--fault-plan FILE]
   invmeas profile-info <FILE>
   invmeas run <FILE.qasm> --device <NAME> [--policy baseline|sim|aim]
               [--shots N] [--expected BITS] [--profile FILE] [--route]
@@ -260,8 +248,8 @@ USAGE:
 DEVICES: ibmqx2, ibmqx4, ibmq-melbourne, ideal-N (e.g. ideal-5)
 
 --threads controls the worker pool for batched circuit sweeps
-(characterization states/windows, SIM groups, AIM targeted runs); the
-default uses every available core. Results are identical for any value.
+(brute-force state batches, SIM groups, AIM targeted runs); the default
+uses every available core. Results are identical for any value.
 
 serve runs the mitigation service (newline-delimited JSON over TCP) and
 prints `listening on HOST:PORT` once the socket is bound; submit and svc
@@ -278,9 +266,9 @@ by arrival count; see DESIGN.md §17. `svc health` exits 0 when healthy,
 is unreachable.
 
 characterize --journal writes a checkpoint after every completed work
-unit so an interrupted run can be resumed with --resume (bit-identical
-to an uninterrupted run); --resume with --out but no --journal uses
-<out>.journal. See DESIGN.md §13.
+unit; rerunning the same command resumes an interrupted run from that
+journal. The profile is bit-identical to an uninterrupted run, and to a
+run without --journal. See DESIGN.md §13.
 
 serve --cluster joins a profile mesh: pass the *same* comma-separated
 member list to every node (this node's --addr must appear in it) and a
@@ -346,16 +334,21 @@ fn parse_threads(value: Option<&str>) -> Result<usize, ArgError> {
     Ok(n)
 }
 
+fn parse_method(value: Option<&str>) -> Result<CharMethod, ArgError> {
+    value
+        .and_then(CharMethod::parse)
+        .ok_or_else(|| err(format!("bad --method {value:?}")))
+}
+
 fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
     let mut out = CharacterizeArgs {
         device: String::new(),
-        method: Method::Brute,
+        method: CharMethod::Brute,
         shots: 8192,
         out: None,
         seed: 2019,
         threads: None,
         journal: None,
-        resume: false,
         fault_plan: None,
     };
     let mut it = args.iter().map(String::as_str);
@@ -367,14 +360,7 @@ fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
                     .ok_or_else(|| err("--device needs a name"))?
                     .to_string()
             }
-            "--method" => {
-                out.method = match it.next() {
-                    Some("brute") => Method::Brute,
-                    Some("esct") => Method::Esct,
-                    Some("awct") => Method::Awct,
-                    other => return Err(err(format!("bad --method {other:?}"))),
-                }
-            }
+            "--method" => out.method = parse_method(it.next())?,
             "--shots" => out.shots = parse_u64("--shots", it.next())?,
             "--seed" => out.seed = parse_u64("--seed", it.next())?,
             "--threads" => out.threads = Some(parse_threads(it.next())?),
@@ -392,7 +378,6 @@ fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
                         .to_string(),
                 )
             }
-            "--resume" => out.resume = true,
             "--fault-plan" => {
                 out.fault_plan = Some(
                     it.next()
@@ -405,9 +390,6 @@ fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
     }
     if out.device.is_empty() {
         return Err(err("characterize requires --device"));
-    }
-    if out.resume && out.journal.is_none() && out.out.is_none() {
-        return Err(err("--resume needs --journal (or --out to derive one)"));
     }
     Ok(Command::Characterize(out))
 }
@@ -720,7 +702,7 @@ fn parse_svc(args: &[String]) -> Result<Command, ArgError> {
         }
         "characterize" => {
             let mut device = String::new();
-            let mut method = Method::Brute;
+            let mut method = CharMethod::Brute;
             let mut shots = 0u64;
             while let Some(flag) = it.next() {
                 match flag {
@@ -736,14 +718,7 @@ fn parse_svc(args: &[String]) -> Result<Command, ArgError> {
                             .ok_or_else(|| err("--device needs a name"))?
                             .to_string()
                     }
-                    "--method" => {
-                        method = match it.next() {
-                            Some("brute") => Method::Brute,
-                            Some("esct") => Method::Esct,
-                            Some("awct") => Method::Awct,
-                            other => return Err(err(format!("bad --method {other:?}"))),
-                        }
-                    }
+                    "--method" => method = parse_method(it.next())?,
                     "--shots" => shots = parse_u64("--shots", it.next())?,
                     other => return Err(err(format!("unknown flag {other:?}"))),
                 }
@@ -804,19 +779,18 @@ mod tests {
     fn parses_characterize() {
         let cmd = parse(&argv(
             "characterize --device ibmqx4 --method awct --shots 1000 --out p.rbms --seed 7 \
-             --threads 3 --journal p.journal --resume --fault-plan chaos.plan",
+             --threads 3 --journal p.journal --fault-plan chaos.plan",
         ))
         .unwrap();
         match cmd {
             Command::Characterize(a) => {
                 assert_eq!(a.device, "ibmqx4");
-                assert_eq!(a.method, Method::Awct);
+                assert_eq!(a.method, CharMethod::Awct);
                 assert_eq!(a.shots, 1000);
                 assert_eq!(a.out.as_deref(), Some("p.rbms"));
                 assert_eq!(a.seed, 7);
                 assert_eq!(a.threads, Some(3));
                 assert_eq!(a.journal.as_deref(), Some("p.journal"));
-                assert!(a.resume);
                 assert_eq!(a.fault_plan.as_deref(), Some("chaos.plan"));
             }
             other => panic!("wrong command {other:?}"),
@@ -828,12 +802,11 @@ mod tests {
         let cmd = parse(&argv("characterize --device ibmqx2")).unwrap();
         match cmd {
             Command::Characterize(a) => {
-                assert_eq!(a.method, Method::Brute);
+                assert_eq!(a.method, CharMethod::Brute);
                 assert_eq!(a.shots, 8192);
                 assert_eq!(a.out, None);
                 assert_eq!(a.threads, None);
                 assert_eq!(a.journal, None);
-                assert!(!a.resume);
                 assert_eq!(a.fault_plan, None);
             }
             other => panic!("wrong command {other:?}"),
@@ -1014,7 +987,7 @@ mod tests {
                 a.op,
                 SvcOp::Characterize {
                     device: "ibmqx4".into(),
-                    method: Method::Awct,
+                    method: CharMethod::Awct,
                     shots: 256,
                 }
             ),
@@ -1118,10 +1091,7 @@ mod tests {
                 "characterize --device x --journal",
                 "--journal needs a path",
             ),
-            (
-                "characterize --device x --resume",
-                "--resume needs --journal",
-            ),
+            ("characterize --device x --resume", "unknown flag"),
             (
                 "characterize --device x --fault-plan",
                 "--fault-plan needs a path",

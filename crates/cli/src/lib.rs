@@ -33,13 +33,13 @@
 
 pub mod args;
 
-use args::{CharacterizeArgs, Command, Method, Policy, RunArgs, ServeArgs, SubmitArgs, SvcArgs};
+use args::{CharacterizeArgs, Command, Policy, RunArgs, ServeArgs, SubmitArgs, SvcArgs};
 use invmeas::{
-    characterize_journaled, AdaptiveInvertMeasure, Baseline, CharSpec, MeasurementPolicy,
-    ProfileMeta, RbmsTable, StaticInvertMeasure,
+    AdaptiveInvertMeasure, Baseline, CharSpec, Journal, MeasurementPolicy, ProfileMeta, RbmsTable,
+    StaticInvertMeasure,
 };
 use invmeas_service::{
-    CharacterizeRequest, Client, ClusterConfig, MethodKind, PolicyKind, Request, Response, Server,
+    CharacterizeRequest, Client, ClusterConfig, PolicyKind, Request, Response, Server,
     ServerConfig, SubmitRequest,
 };
 use qmetrics::{fmt_pct, fmt_prob, fmt_ratio, CorrectSet, ReliabilityReport, Table};
@@ -192,14 +192,6 @@ fn policy_kind(p: Policy) -> PolicyKind {
     }
 }
 
-fn method_kind(m: Method) -> MethodKind {
-    match m {
-        Method::Brute => MethodKind::Brute,
-        Method::Esct => MethodKind::Esct,
-        Method::Awct => MethodKind::Awct,
-    }
-}
-
 fn serve(a: &ServeArgs) -> Result<String, CliError> {
     let faults: std::sync::Arc<dyn invmeas_faults::FaultInjector> = match &a.fault_plan {
         Some(path) => std::sync::Arc::new(
@@ -319,7 +311,7 @@ fn svc(a: &SvcArgs) -> Result<String, CliError> {
             shots,
         } => Request::Characterize(CharacterizeRequest {
             device: device.clone(),
-            method: method_kind(*method),
+            method: *method,
             shots: *shots,
             fwd: false,
         }),
@@ -418,105 +410,60 @@ fn resolve_threads(requested: Option<usize>) -> usize {
     })
 }
 
-/// The journal path a `characterize` invocation should use: the explicit
-/// `--journal` value, or `<out>.journal` when `--resume` has only `--out`
-/// to work from. `None` means run without checkpoints (the legacy path).
-fn characterize_journal_path(a: &CharacterizeArgs) -> Option<std::path::PathBuf> {
-    match (&a.journal, a.resume, &a.out) {
-        (Some(j), _, _) => Some(std::path::PathBuf::from(j)),
-        (None, true, Some(out)) => Some(std::path::PathBuf::from(format!("{out}.journal"))),
-        _ => None,
-    }
-}
-
 fn characterize(a: &CharacterizeArgs) -> Result<String, CliError> {
     use std::fmt::Write as _;
     let dev = resolve_device(&a.device)?;
-    let n = dev.n_qubits();
-    if a.method == Method::Brute && n > 14 {
-        return Err("brute-force characterization limited to 14 qubits; use awct".into());
-    }
+    let spec = CharSpec::new(a.method, dev.name(), dev.n_qubits(), a.shots, a.seed);
+    spec.validate()?;
     let exec = NoisyExecutor::from_device(&dev).with_threads(resolve_threads(a.threads));
-    let journal = characterize_journal_path(a);
+    let faults: Box<dyn invmeas_faults::FaultInjector> = match &a.fault_plan {
+        Some(p) => Box::new(
+            invmeas_faults::FaultPlan::load(p)
+                .map_err(|e| format!("cannot load fault plan {p}: {e}"))?,
+        ),
+        None => Box::new(invmeas_faults::NoFaults),
+    };
+    let journal = a.journal.as_deref().map(std::path::Path::new);
+    if let Some(parent) = journal
+        .and_then(std::path::Path::parent)
+        .filter(|p| !p.as_os_str().is_empty())
+    {
+        std::fs::create_dir_all(parent)?;
+    }
+    let (table, stats) = invmeas::characterize(
+        &exec,
+        &spec,
+        journal.map(|path| Journal {
+            faults: faults.as_ref(),
+            ..Journal::at(path)
+        }),
+    )
+    .map_err(|e| format!("characterization failed: {e}"))?;
     let mut out = String::new();
-    let table = match &journal {
-        Some(path) => {
-            // Checkpointed run: resumable and bit-identical to an
-            // uninterrupted journaled run, but chunked differently from
-            // the single-RNG legacy path, so the two paths' numerics are
-            // not interchangeable.
-            if a.method == Method::Esct && n > 16 {
-                return Err(
-                    "journaled ESCT characterization limited to 16 qubits; use awct".into(),
-                );
-            }
-            let faults: Box<dyn invmeas_faults::FaultInjector> = match &a.fault_plan {
-                Some(p) => Box::new(
-                    invmeas_faults::FaultPlan::load(p)
-                        .map_err(|e| format!("cannot load fault plan {p}: {e}"))?,
-                ),
-                None => Box::new(invmeas_faults::NoFaults),
-            };
-            let spec = match a.method {
-                Method::Brute => CharSpec::brute(dev.name(), n, a.shots, a.seed),
-                Method::Esct => CharSpec::esct(dev.name(), n, a.shots, a.seed),
-                Method::Awct => {
-                    CharSpec::awct(dev.name(), n, 4.min(n), 2.min(n - 1), a.shots, a.seed)
-                }
-            };
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            let (table, stats) = characterize_journaled(&exec, &spec, Some(path), faults.as_ref())
-                .map_err(|e| format!("characterization failed: {e}"))?;
-            if stats.resumed() {
-                let _ = writeln!(
-                    out,
-                    "resumed {} of {} units from {}",
-                    stats.resumed_units,
-                    stats.total_units,
-                    path.display()
-                );
-            }
+    if let Some(path) = journal {
+        if stats.resumed() {
             let _ = writeln!(
                 out,
-                "journal: {} checkpoints at {}",
-                stats.checkpoints_written,
+                "resumed {} of {} units from {}",
+                stats.resumed_units,
+                stats.total_units,
                 path.display()
             );
-            table
         }
-        None => {
-            let mut rng = StdRng::seed_from_u64(a.seed);
-            match a.method {
-                Method::Brute => RbmsTable::brute_force(&exec, a.shots, &mut rng),
-                Method::Esct => RbmsTable::esct(&exec, a.shots, &mut rng),
-                Method::Awct => RbmsTable::awct(&exec, 4.min(n), 2.min(n - 1), a.shots, &mut rng),
-            }
-        }
-    };
+        let _ = writeln!(
+            out,
+            "journal: {} checkpoints at {}",
+            stats.checkpoints_written,
+            path.display()
+        );
+    }
     out.push_str(&render_profile(&table, dev.name()));
     if let Some(path) = &a.out {
-        let meta = ProfileMeta {
-            device: dev.name().to_string(),
-            method: match a.method {
-                Method::Brute => "brute",
-                Method::Esct => "esct",
-                Method::Awct => "awct",
-            }
-            .to_string(),
-            seed: a.seed,
-            window: if a.method == Method::Awct {
-                4.min(n)
-            } else {
-                0
-            },
-        };
-        table.save_v2_with(path, &meta, &invmeas_faults::NoFaults)?;
+        table.save(path, &ProfileMeta::from(&spec), &invmeas_faults::NoFaults)?;
         out.push_str(&format!("\nprofile written to {path}\n"));
         // The journal exists to reproduce the profile; once the profile
         // is durable the checkpoints have served their purpose.
-        if let Some(j) = &journal {
+        if let Some(j) = journal {
             if std::fs::remove_file(j).is_ok() {
                 out.push_str(&format!("journal {} removed\n", j.display()));
             }
@@ -566,7 +513,7 @@ fn render_profile(table: &RbmsTable, label: &str) -> String {
 }
 
 fn profile_info(path: &str) -> Result<String, CliError> {
-    let (table, meta) = RbmsTable::load_with_meta(path)?;
+    let (table, meta) = RbmsTable::load(path, &invmeas_faults::NoFaults)?;
     let mut out = match meta {
         Some(m) => format!(
             "format rbms v2 (checksummed): device {}  method {}  seed {}  window {}\n",
@@ -626,7 +573,7 @@ fn run(a: &RunArgs) -> Result<String, CliError> {
         Policy::Aim => {
             let profile = match &a.profile {
                 Some(path) => {
-                    let p = RbmsTable::load(path)?;
+                    let (p, _) = RbmsTable::load(path, &invmeas_faults::NoFaults)?;
                     if p.width() != width {
                         return Err(format!(
                             "profile width {} does not match register {}",
@@ -691,6 +638,7 @@ fn run(a: &RunArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use invmeas::CharMethod;
 
     #[test]
     fn resolve_known_devices() {
@@ -716,13 +664,12 @@ mod tests {
         let path = dir.join("qx4.rbms");
         let out = execute(&Command::Characterize(CharacterizeArgs {
             device: "ibmqx4".into(),
-            method: Method::Brute,
+            method: CharMethod::Brute,
             shots: 256,
             out: Some(path.to_string_lossy().into_owned()),
             seed: 1,
             threads: Some(2),
             journal: None,
-            resume: false,
             fault_plan: None,
         }))
         .unwrap();
@@ -743,23 +690,21 @@ mod tests {
         let dir = std::env::temp_dir().join("invmeas-cli-journal-test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let args_for = |out: &std::path::Path, fault_plan: Option<&std::path::Path>, resume| {
-            CharacterizeArgs {
+        let args_for =
+            |out: &std::path::Path, fault_plan: Option<&std::path::Path>| CharacterizeArgs {
                 device: "ibmqx2".into(),
-                method: Method::Brute,
+                method: CharMethod::Brute,
                 shots: 400,
                 out: Some(out.to_string_lossy().into_owned()),
                 seed: 11,
                 threads: Some(2),
-                journal: None,
-                resume,
+                journal: Some(format!("{}.journal", out.to_string_lossy())),
                 fault_plan: fault_plan.map(|p| p.to_string_lossy().into_owned()),
-            }
-        };
+            };
 
         // Reference: an uninterrupted journaled run.
         let clean_out = dir.join("clean.rbms");
-        let report = execute(&Command::Characterize(args_for(&clean_out, None, true))).unwrap();
+        let report = execute(&Command::Characterize(args_for(&clean_out, None))).unwrap();
         assert!(report.contains("journal:"), "{report}");
         assert!(
             report.contains("journal") && report.contains("removed"),
@@ -775,7 +720,7 @@ mod tests {
         )
         .unwrap();
         let crash_out = dir.join("crash.rbms");
-        let crash_args = args_for(&crash_out, Some(&plan_path), true);
+        let crash_args = args_for(&crash_out, Some(&plan_path));
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute(&Command::Characterize(crash_args.clone()))
         }));
@@ -788,7 +733,7 @@ mod tests {
         );
 
         // Resume: picks up the surviving checkpoints and finishes.
-        let report = execute(&Command::Characterize(args_for(&crash_out, None, true))).unwrap();
+        let report = execute(&Command::Characterize(args_for(&crash_out, None))).unwrap();
         assert!(report.contains("resumed 2 of"), "{report}");
         let resumed_bytes = std::fs::read(&crash_out).unwrap();
         assert_eq!(
@@ -799,6 +744,41 @@ mod tests {
             !journal_path.exists(),
             "journal is removed after a durable save"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_does_not_change_the_written_profile() {
+        let dir = std::env::temp_dir().join("invmeas-cli-journal-parity-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        for (device, method) in [
+            ("ibmqx2", CharMethod::Brute),
+            ("ibmqx2", CharMethod::Esct),
+            ("ibmq-melbourne", CharMethod::Awct),
+        ] {
+            let write = |name: &str, journal: Option<String>| {
+                let out = dir.join(name);
+                execute(&Command::Characterize(CharacterizeArgs {
+                    device: device.into(),
+                    method,
+                    shots: 300,
+                    out: Some(out.to_string_lossy().into_owned()),
+                    seed: 7,
+                    threads: Some(2),
+                    journal,
+                    fault_plan: None,
+                }))
+                .unwrap();
+                std::fs::read(out).unwrap()
+            };
+            let journal = dir.join("j.journal").to_string_lossy().into_owned();
+            assert_eq!(
+                write("a.rbms", None),
+                write("b.rbms", Some(journal)),
+                "{device} {method:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,11 +1,13 @@
-//! Journaled, resumable characterization (`charjournal v2`).
+//! The characterization engine, journaled and resumable (`charjournal v2`).
 //!
 //! Characterization is the most expensive artifact in the pipeline
-//! (§6.2.1: brute force is `O(2^N)` trials), yet a crash or injected
-//! fault mid-run used to throw the whole sweep away. This module
+//! (§6.2.1: brute force is `O(2^N)` trials). [`characterize`] is the one
+//! piece of code that turns a [`CharSpec`] into an [`RbmsTable`]: it
 //! decomposes each technique into deterministic **units** — a brute-force
-//! state batch, an ESCT shot chunk, an AWCT window — and checkpoints a
-//! line to a journal file after each completed unit:
+//! state batch, an ESCT shot chunk, an AWCT window — runs them in order,
+//! and combines their results. Given a [`Journal`], it also checkpoints a
+//! line to the journal file after each completed unit, so a crash or an
+//! injected fault mid-run does not throw the sweep away:
 //!
 //! ```text
 //! charjournal v2
@@ -19,6 +21,9 @@
 //! unit 0 9c2f41aa 0:8101 1:8052 …
 //! unit 1 17d00e3b 8:7990 9:7911 …
 //! ```
+//!
+//! Without a journal the same units run with no I/O, so a profile does not
+//! depend on whether it was journaled.
 //!
 //! Each unit draws from its **own** RNG stream, seeded by a splitmix64
 //! mix of the job seed and the unit index — never from a shared
@@ -45,8 +50,8 @@
 //! producing a profile reproducible under *neither* binary.
 
 use crate::checksum::crc32;
-use crate::rbms::{awct_combine, awct_starts, awct_window_circuit, RbmsTable};
-use invmeas_faults::{Fault, FaultInjector, FaultSite};
+use crate::rbms::RbmsTable;
+use invmeas_faults::{Fault, FaultInjector, FaultSite, NoFaults};
 use qnoise::Executor;
 use qsim::{BitString, Circuit, Counts};
 use rand::rngs::StdRng;
@@ -67,8 +72,17 @@ const BRUTE_BATCH_STATES: usize = 8;
 /// Maximum shot chunks an ESCT run is split into.
 const ESCT_CHUNKS: u64 = 8;
 
-/// The characterization technique being journaled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Widest register brute force sweeps (`2^14` preparation circuits);
+/// beyond it AWCT is the practical technique.
+const BRUTE_MAX_QUBITS: usize = 14;
+/// Widest register ESCT estimates (its table has `2^n` entries, each
+/// needing many of the `O(2^n)` trials).
+const ESCT_MAX_QUBITS: usize = 16;
+/// Widest register AWCT combines into one dense table.
+const AWCT_MAX_QUBITS: usize = 20;
+
+/// A characterization technique (paper §6.2.1, Appendix A).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CharMethod {
     /// Prepare-and-measure every basis state.
     Brute,
@@ -79,7 +93,8 @@ pub enum CharMethod {
 }
 
 impl CharMethod {
-    /// The journal spelling.
+    /// The spelling used on the command line, on the wire, and in journal
+    /// and profile headers.
     pub fn as_str(self) -> &'static str {
         match self {
             CharMethod::Brute => "brute",
@@ -88,7 +103,7 @@ impl CharMethod {
         }
     }
 
-    /// Parses the journal spelling.
+    /// Parses [`as_str`](CharMethod::as_str)'s spelling.
     pub fn parse(s: &str) -> Option<CharMethod> {
         match s {
             "brute" => Some(CharMethod::Brute),
@@ -122,33 +137,32 @@ pub struct CharSpec {
 }
 
 impl CharSpec {
-    /// A brute-force job spec.
-    pub fn brute(device: impl Into<String>, width: usize, shots: u64, seed: u64) -> Self {
+    /// The job for `method` on a `width`-qubit device. AWCT gets the
+    /// default geometry: 4-qubit windows overlapping by 2 (clipped to the
+    /// register).
+    pub fn new(
+        method: CharMethod,
+        device: impl Into<String>,
+        width: usize,
+        shots: u64,
+        seed: u64,
+    ) -> Self {
+        let (window, overlap) = match method {
+            CharMethod::Awct => (4.min(width), 2.min(width.saturating_sub(1))),
+            CharMethod::Brute | CharMethod::Esct => (0, 0),
+        };
         CharSpec {
             device: device.into(),
-            method: CharMethod::Brute,
+            method,
             width,
-            window: 0,
-            overlap: 0,
+            window,
+            overlap,
             shots,
             seed,
         }
     }
 
-    /// An ESCT job spec.
-    pub fn esct(device: impl Into<String>, width: usize, shots: u64, seed: u64) -> Self {
-        CharSpec {
-            device: device.into(),
-            method: CharMethod::Esct,
-            width,
-            window: 0,
-            overlap: 0,
-            shots,
-            seed,
-        }
-    }
-
-    /// An AWCT job spec.
+    /// An AWCT job with an explicit window geometry.
     pub fn awct(
         device: impl Into<String>,
         width: usize,
@@ -158,14 +172,48 @@ impl CharSpec {
         seed: u64,
     ) -> Self {
         CharSpec {
-            device: device.into(),
-            method: CharMethod::Awct,
-            width,
             window,
             overlap,
-            shots,
-            seed,
+            ..CharSpec::new(CharMethod::Awct, device, width, shots, seed)
         }
+    }
+
+    /// Checks that this job can run: a positive trial budget, a register
+    /// within the method's width limit, and a sound AWCT geometry.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason naming the first violated limit.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shots == 0 {
+            return Err("characterization needs a trial budget".into());
+        }
+        let n = self.width;
+        let max = match self.method {
+            CharMethod::Brute => BRUTE_MAX_QUBITS,
+            CharMethod::Esct => ESCT_MAX_QUBITS,
+            CharMethod::Awct => AWCT_MAX_QUBITS,
+        };
+        if n == 0 || n > max {
+            let hint = if self.method == CharMethod::Awct {
+                ""
+            } else {
+                "; use awct"
+            };
+            return Err(format!(
+                "{} characterization limited to {max} qubits ({n} requested){hint}",
+                self.method.as_str()
+            ));
+        }
+        if self.method == CharMethod::Awct {
+            if self.window == 0 || self.window > n {
+                return Err(format!("bad window size {}", self.window));
+            }
+            if self.overlap >= self.window {
+                return Err("overlap must be smaller than the window".into());
+            }
+        }
+        Ok(())
     }
 
     /// How many units (journal checkpoints) this job decomposes into — a
@@ -173,43 +221,15 @@ impl CharSpec {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid spec (zero shots, bad width or window).
+    /// Panics on a spec that fails [`validate`](CharSpec::validate).
     pub fn unit_count(&self) -> usize {
-        self.assert_valid();
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
         match self.method {
             CharMethod::Brute => (1usize << self.width).div_ceil(BRUTE_BATCH_STATES),
             CharMethod::Esct => self.shots.min(ESCT_CHUNKS) as usize,
             CharMethod::Awct => awct_starts(self.width, self.window, self.overlap).len(),
-        }
-    }
-
-    fn assert_valid(&self) {
-        assert!(self.shots > 0, "characterization needs a trial budget");
-        match self.method {
-            CharMethod::Brute => {
-                assert!(
-                    self.width >= 1 && self.width <= 16,
-                    "brute force limited to 16 qubits"
-                )
-            }
-            CharMethod::Esct => {
-                assert!(
-                    self.width >= 1 && self.width <= 16,
-                    "ESCT table limited to 16 qubits"
-                )
-            }
-            CharMethod::Awct => {
-                assert!(self.width <= 20, "AWCT combined table limited to 20 qubits");
-                assert!(
-                    self.window >= 1 && self.window <= self.width,
-                    "bad window size {}",
-                    self.window
-                );
-                assert!(
-                    self.overlap < self.window,
-                    "overlap must be smaller than the window"
-                );
-            }
         }
     }
 
@@ -235,7 +255,46 @@ fn sanitize_token(s: &str) -> String {
         .collect()
 }
 
-/// What one [`characterize_journaled`] run did.
+/// Where a [`characterize`] run checkpoints its units, and what it
+/// consults and notifies along the way. Only a journaled run needs these.
+#[derive(Clone, Copy)]
+pub struct Journal<'a> {
+    /// The journal file: resumed when its header matches the spec,
+    /// replaced otherwise. Its directory must exist.
+    pub path: &'a Path,
+    /// Consulted at [`FaultSite::JournalWrite`] once per append.
+    pub faults: &'a dyn FaultInjector,
+    /// Fires after each checkpoint line is appended, with the number of
+    /// checkpoints this run has written so far. A cluster owner uses it to
+    /// ship the in-flight journal to follower nodes as the run progresses,
+    /// so a kill at any point leaves every *completed* unit already
+    /// replicated. The hook handles its own failures (replication is best
+    /// effort); it cannot fail the run.
+    pub on_checkpoint: Option<&'a (dyn Fn(u64) + Sync)>,
+}
+
+impl<'a> Journal<'a> {
+    /// A journal at `path` with no injected faults and no hook.
+    pub fn at(path: &'a Path) -> Self {
+        Journal {
+            path,
+            faults: &NoFaults,
+            on_checkpoint: None,
+        }
+    }
+}
+
+impl fmt::Debug for Journal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Journal")
+            .field("path", &self.path)
+            .field("faults", &self.faults)
+            .field("on_checkpoint", &self.on_checkpoint.is_some())
+            .finish()
+    }
+}
+
+/// What one [`characterize`] run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JournalStats {
     /// Units the job decomposes into.
@@ -253,12 +312,13 @@ impl JournalStats {
     }
 }
 
-/// Why a journaled characterization failed.
+/// Why a characterization failed.
 #[derive(Debug)]
 pub enum JournalError {
     /// Journal file I/O failed (including injected journal-write faults).
     Io(std::io::Error),
-    /// The combined results violate a table invariant.
+    /// The spec fails [`CharSpec::validate`], or the combined results
+    /// violate a table invariant.
     Invalid(String),
 }
 
@@ -266,7 +326,7 @@ impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
-            JournalError::Invalid(m) => write!(f, "journaled characterization invalid: {m}"),
+            JournalError::Invalid(m) => write!(f, "characterization invalid: {m}"),
         }
     }
 }
@@ -423,6 +483,9 @@ fn load_journal(text: &str) -> Option<(CharSpec, Vec<(usize, UnitResult)>)> {
 }
 
 /// Appends one checkpoint line, consulting [`FaultSite::JournalWrite`].
+/// The line reaches the operating system before this returns, so it
+/// survives the death of the process; it is not synced to the device, so
+/// it need not survive a power loss.
 fn append_checkpoint(
     file: &mut File,
     idx: usize,
@@ -448,6 +511,23 @@ fn append_checkpoint(
     }
     file.write_all(line.as_bytes())?;
     file.flush()
+}
+
+/// AWCT window start positions: stride `window - overlap`, clipped so the
+/// final window ends exactly at `n`.
+fn awct_starts(n: usize, window: usize, overlap: usize) -> Vec<usize> {
+    let stride = window - overlap;
+    let mut starts = Vec::new();
+    let mut pos = 0usize;
+    loop {
+        if pos + window >= n {
+            starts.push(n - window);
+            break;
+        }
+        starts.push(pos);
+        pos += stride;
+    }
+    starts
 }
 
 /// Runs one unit with its derived RNG stream and returns its result.
@@ -480,13 +560,13 @@ fn run_unit(executor: &dyn Executor, spec: &CharSpec, idx: usize) -> UnitResult 
             sparse_counts(&log)
         }
         CharMethod::Awct => {
-            let starts = awct_starts(n, spec.window, spec.overlap);
-            let lo = starts[idx];
-            let log = executor.run(
-                &awct_window_circuit(n, lo, spec.window),
-                spec.shots,
-                &mut rng,
-            );
+            let lo = awct_starts(n, spec.window, spec.overlap)[idx];
+            // The uniform superposition over the window's qubits.
+            let mut circuit = Circuit::new(n);
+            for q in lo..lo + spec.window {
+                circuit.h(q);
+            }
+            let log = executor.run(&circuit, spec.shots, &mut rng);
             // Marginalize onto the window bits before journaling: the
             // combine step only needs the window marginal, and the
             // checkpoint stays `2^window` pairs instead of `2^n`.
@@ -510,14 +590,32 @@ fn sparse_counts(log: &Counts) -> UnitResult {
     pairs
 }
 
+/// ESCT's raw relative outcome frequencies: the units' summed counts over
+/// the total budget.
+fn esct_frequencies(spec: &CharSpec, units: &[UnitResult]) -> Vec<f64> {
+    let mut counts = vec![0u64; 1 << spec.width];
+    for unit in units {
+        for &(state, count) in unit {
+            counts[state as usize] += count;
+        }
+    }
+    let total = spec.shots as f64;
+    counts.iter().map(|&c| c as f64 / total).collect()
+}
+
 /// Combines completed unit results into the final table — a pure
 /// function, so resumed and uninterrupted runs agree bit-for-bit.
+///
+/// ESCT/AWCT estimate strengths from superposition *frequencies*, which
+/// double-count the per-qubit bias (a state is depleted by its own errors
+/// *and* fed by its neighbours' errors); both apply the first-order
+/// square-root correction so their output matches the directly measured
+/// RBMS.
 fn combine(spec: &CharSpec, units: &[UnitResult]) -> Result<RbmsTable, JournalError> {
     let n = spec.width;
-    let dim = 1usize << n;
     let (strengths, trials) = match spec.method {
         CharMethod::Brute => {
-            let mut counts = vec![0u64; dim];
+            let mut counts = vec![0u64; 1 << n];
             for unit in units {
                 for &(state, count) in unit {
                     counts[state as usize] = count;
@@ -528,18 +626,13 @@ fn combine(spec: &CharSpec, units: &[UnitResult]) -> Result<RbmsTable, JournalEr
             (strengths, spec.shots << n)
         }
         CharMethod::Esct => {
-            let mut counts = vec![0u64; dim];
-            for unit in units {
-                for &(state, count) in unit {
-                    counts[state as usize] += count;
-                }
-            }
-            let total = spec.shots as f64;
-            let strengths: Vec<f64> = counts.iter().map(|&c| (c as f64 / total).sqrt()).collect();
+            let strengths = esct_frequencies(spec, units)
+                .into_iter()
+                .map(f64::sqrt)
+                .collect();
             (strengths, spec.shots)
         }
         CharMethod::Awct => {
-            let starts = awct_starts(n, spec.window, spec.overlap);
             let shots = spec.shots as f64;
             let window_tables: Vec<Vec<f64>> = units
                 .iter()
@@ -551,24 +644,75 @@ fn combine(spec: &CharSpec, units: &[UnitResult]) -> Result<RbmsTable, JournalEr
                     freqs
                 })
                 .collect();
-            let strengths = awct_combine(n, spec.window, spec.overlap, &starts, &window_tables);
-            (strengths, spec.shots * starts.len() as u64)
+            let strengths = awct_combine(spec, &window_tables);
+            (strengths, spec.shots * units.len() as u64)
         }
     };
-    let mut table = RbmsTable::try_from_strengths(n, strengths)
+    table(n, strengths, trials)
+}
+
+/// Combines per-window sqrt-corrected frequency tables into the full
+/// `2^n` strength vector multiplicatively, dividing out the overlap
+/// marginals (Appendix A).
+fn awct_combine(spec: &CharSpec, window_tables: &[Vec<f64>]) -> Vec<f64> {
+    let (n, window, overlap) = (spec.width, spec.window, spec.overlap);
+    let starts = awct_starts(n, window, overlap);
+    // Overlap marginals for every window after the first: the marginal
+    // of the window estimate over its first `overlap` qubits.
+    let mut overlap_tables: Vec<Vec<f64>> = Vec::with_capacity(starts.len());
+    for (w, table) in window_tables.iter().enumerate() {
+        if w == 0 || overlap == 0 {
+            overlap_tables.push(Vec::new());
+            continue;
+        }
+        // Sum of squared (i.e. raw) frequencies over the suffix bits,
+        // then sqrt again to stay on the corrected scale.
+        let mut sums = vec![0.0f64; 1 << overlap];
+        for (pat_idx, &val) in table.iter().enumerate() {
+            sums[pat_idx & ((1 << overlap) - 1)] += val * val;
+        }
+        overlap_tables.push(sums.into_iter().map(f64::sqrt).collect());
+    }
+
+    let mut strengths = vec![0.0f64; 1 << n];
+    for (idx, out) in strengths.iter_mut().enumerate() {
+        let s = BitString::from_value(idx as u64, n);
+        let mut val = 1.0f64;
+        for (w, &lo) in starts.iter().enumerate() {
+            let pat = s.window(lo, window).index();
+            val *= window_tables[w][pat];
+            if w > 0 && overlap > 0 {
+                let ov = s.window(lo, overlap).index();
+                let denom = overlap_tables[w][ov];
+                if denom > 0.0 {
+                    val /= denom;
+                }
+            }
+        }
+        *out = val;
+    }
+    strengths
+}
+
+/// A validated table carrying its trial count.
+fn table(width: usize, strengths: Vec<f64>, trials: u64) -> Result<RbmsTable, JournalError> {
+    let mut table = RbmsTable::try_from_strengths(width, strengths)
         .map_err(|e| JournalError::Invalid(e.to_string()))?;
     table.set_trials_used(trials);
     Ok(table)
 }
 
-/// Runs (or resumes) a characterization job, checkpointing each completed
-/// unit to `journal` when a path is given.
+/// Runs (or resumes) a characterization job — the one code path that
+/// turns a [`CharSpec`] into an [`RbmsTable`]. Units execute in a fixed
+/// order with per-unit seeds and [`Executor::run_batch`] is itself
+/// thread-invariant, so the table is the same for any executor worker
+/// count, and the same with or without a journal.
+///
+/// With a [`Journal`], each completed unit is checkpointed to its file:
 ///
 /// * An existing journal whose header matches `spec` seeds the run: its
 ///   intact units are replayed, only the missing ones re-measure, and the
-///   result is bit-identical to an uninterrupted run — for any executor
-///   worker count, since units execute in a fixed order with per-unit
-///   seeds and [`Executor::run_batch`] is itself thread-invariant.
+///   result is bit-identical to an uninterrupted run.
 /// * A journal with a mismatched or damaged header is ignored and
 ///   overwritten — resuming someone else's checkpoints would poison the
 ///   table.
@@ -582,48 +726,42 @@ fn combine(spec: &CharSpec, units: &[UnitResult]) -> Result<RbmsTable, JournalEr
 ///
 /// # Errors
 ///
-/// [`JournalError::Io`] on journal write failures (including injected
-/// [`FaultSite::JournalWrite`] faults); [`JournalError::Invalid`] when
-/// the combined results violate a table invariant.
+/// [`JournalError::Invalid`] when `spec` fails [`CharSpec::validate`] or
+/// the combined results violate a table invariant; [`JournalError::Io`]
+/// on journal write failures (including injected
+/// [`FaultSite::JournalWrite`] faults).
 ///
 /// # Panics
 ///
-/// Panics on an invalid spec, an executor/spec width mismatch, or an
-/// injected `Panic` fault (the chaos "kill mid-checkpoint" scenario).
-pub fn characterize_journaled(
+/// Panics on an executor/spec width mismatch, or an injected `Panic`
+/// fault (the chaos "kill mid-checkpoint" scenario).
+pub fn characterize(
     executor: &dyn Executor,
     spec: &CharSpec,
-    journal: Option<&Path>,
-    faults: &dyn FaultInjector,
+    journal: Option<Journal<'_>>,
 ) -> Result<(RbmsTable, JournalStats), JournalError> {
-    characterize_journaled_with_hook(executor, spec, journal, faults, None)
+    let (units, stats) = run_units(executor, spec, journal)?;
+    Ok((combine(spec, &units)?, stats))
 }
 
-/// [`characterize_journaled`] with a per-checkpoint hook.
-///
-/// The hook fires after each checkpoint line is durably appended, with
-/// the number of checkpoints this run has written so far. A cluster
-/// owner uses it to ship the in-flight journal to follower nodes as the
-/// run progresses, so a kill at any point leaves every *completed* unit
-/// already replicated — the handoff invariant behind cluster-wide
-/// single-flight characterization. Hook failures must be handled by the
-/// hook itself (replication is best-effort); it cannot fail the run.
-///
-/// # Errors
-///
-/// As [`characterize_journaled`].
-///
-/// # Panics
-///
-/// As [`characterize_journaled`].
-pub fn characterize_journaled_with_hook(
+/// ESCT without the bias correction: the raw outcome frequencies of the
+/// very units [`characterize`] runs for `spec`.
+pub(crate) fn esct_raw(
     executor: &dyn Executor,
     spec: &CharSpec,
-    journal: Option<&Path>,
-    faults: &dyn FaultInjector,
-    checkpoint_hook: Option<&(dyn Fn(u64) + Sync)>,
-) -> Result<(RbmsTable, JournalStats), JournalError> {
-    spec.assert_valid();
+) -> Result<RbmsTable, JournalError> {
+    let (units, _) = run_units(executor, spec, None)?;
+    table(spec.width, esct_frequencies(spec, &units), spec.shots)
+}
+
+/// Runs every unit `journal` does not already hold and returns all unit
+/// results in order.
+fn run_units(
+    executor: &dyn Executor,
+    spec: &CharSpec,
+    journal: Option<Journal<'_>>,
+) -> Result<(Vec<UnitResult>, JournalStats), JournalError> {
+    spec.validate().map_err(JournalError::Invalid)?;
     assert_eq!(
         executor.n_qubits(),
         spec.width,
@@ -637,8 +775,8 @@ pub fn characterize_journaled_with_hook(
     };
 
     // Resume: replay intact units from a matching in-flight journal.
-    if let Some(path) = journal {
-        if let Ok(text) = std::fs::read_to_string(path) {
+    if let Some(j) = journal {
+        if let Ok(text) = std::fs::read_to_string(j.path) {
             if let Some((found_spec, units)) = load_journal(&text) {
                 if found_spec == *spec {
                     for (idx, pairs) in units {
@@ -654,8 +792,8 @@ pub fn characterize_journaled_with_hook(
 
     // (Re)write the journal compacted — header plus replayed units — via
     // a temp sibling so a crash here leaves the old journal intact.
-    let mut writer: Option<File> = match journal {
-        Some(path) => {
+    let mut writer: Option<(File, Journal<'_>)> = match journal {
+        Some(j) => {
             let mut text = spec.header();
             for (idx, unit) in completed.iter().enumerate() {
                 if let Some(pairs) = unit {
@@ -663,13 +801,13 @@ pub fn characterize_journaled_with_hook(
                 }
             }
             let tmp = {
-                let mut name = path.file_name().unwrap_or_default().to_os_string();
+                let mut name = j.path.file_name().unwrap_or_default().to_os_string();
                 name.push(".tmp");
-                path.with_file_name(name)
+                j.path.with_file_name(name)
             };
             std::fs::write(&tmp, &text)?;
-            std::fs::rename(&tmp, path)?;
-            Some(OpenOptions::new().append(true).open(path)?)
+            std::fs::rename(&tmp, j.path)?;
+            Some((OpenOptions::new().append(true).open(j.path)?, j))
         }
         None => None,
     };
@@ -679,28 +817,27 @@ pub fn characterize_journaled_with_hook(
             continue;
         }
         let pairs = run_unit(executor, spec, idx);
-        if let Some(file) = writer.as_mut() {
-            append_checkpoint(file, idx, &pairs, faults)?;
+        if let Some((file, j)) = writer.as_mut() {
+            append_checkpoint(file, idx, &pairs, j.faults)?;
             stats.checkpoints_written += 1;
-            if let Some(hook) = checkpoint_hook {
+            if let Some(hook) = j.on_checkpoint {
                 hook(stats.checkpoints_written);
             }
         }
         *slot = Some(pairs);
     }
 
-    let units: Vec<UnitResult> = completed
+    let units = completed
         .into_iter()
         .map(|u| u.expect("all units ran"))
         .collect();
-    let table = combine(spec, &units)?;
-    Ok((table, stats))
+    Ok((units, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use invmeas_faults::{FaultPlan, NoFaults};
+    use invmeas_faults::FaultPlan;
     use qnoise::{DeviceModel, NoisyExecutor};
     use std::sync::Arc;
 
@@ -712,8 +849,8 @@ mod tests {
 
     fn specs() -> Vec<CharSpec> {
         vec![
-            CharSpec::brute("ibmqx4", 5, 256, 2019),
-            CharSpec::esct("ibmqx4", 5, 4096, 2019),
+            CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 256, 2019),
+            CharSpec::new(CharMethod::Esct, "ibmqx4", 5, 4096, 2019),
             CharSpec::awct("ibmqx4", 5, 3, 2, 1024, 2019),
         ]
     }
@@ -732,7 +869,7 @@ mod tests {
         for spec in specs() {
             let run = |threads: usize| {
                 let exec = NoisyExecutor::readout_only(&dev).with_threads(threads);
-                let (table, stats) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
+                let (table, stats) = characterize(&exec, &spec, None).unwrap();
                 assert_eq!(stats.total_units, spec.unit_count() as u64);
                 assert_eq!(stats.checkpoints_written, 0, "no journal, no checkpoints");
                 table
@@ -749,15 +886,14 @@ mod tests {
             let baseline = {
                 let path = temp_journal(&format!("baseline-{}", spec.method.as_str()));
                 let _ = std::fs::remove_file(&path);
-                let (table, stats) =
-                    characterize_journaled(&exec, &spec, Some(&path), &NoFaults).unwrap();
+                let (table, stats) = characterize(&exec, &spec, Some(Journal::at(&path))).unwrap();
                 assert_eq!(stats.checkpoints_written, stats.total_units);
                 std::fs::remove_file(&path).unwrap();
                 table
             };
             // Kill (panic) at every possible checkpoint ordinal, then
-            // resume; the result must match the uninterrupted run
-            // byte-for-byte in its serialized form.
+            // resume; the result must match the uninterrupted run bit for
+            // bit.
             for kill_at in 1..=spec.unit_count() as u64 {
                 let path = temp_journal(&format!("kill-{}-{kill_at}", spec.method.as_str()));
                 let _ = std::fs::remove_file(&path);
@@ -768,11 +904,18 @@ mod tests {
                 ));
                 let exec2 = NoisyExecutor::readout_only(&dev);
                 let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    characterize_journaled(&exec2, &spec, Some(&path), plan.as_ref())
+                    characterize(
+                        &exec2,
+                        &spec,
+                        Some(Journal {
+                            faults: plan.as_ref(),
+                            ..Journal::at(&path)
+                        }),
+                    )
                 }));
                 assert!(died.is_err(), "scripted kill at {kill_at} did not fire");
                 let (resumed, stats) =
-                    characterize_journaled(&exec, &spec, Some(&path), &NoFaults).unwrap();
+                    characterize(&exec, &spec, Some(Journal::at(&path))).unwrap();
                 assert_eq!(
                     stats.resumed_units,
                     kill_at - 1,
@@ -780,8 +923,8 @@ mod tests {
                     spec.method.as_str()
                 );
                 assert_eq!(
-                    resumed.to_text(),
-                    baseline.to_text(),
+                    resumed,
+                    baseline,
                     "{} killed at checkpoint {kill_at}",
                     spec.method.as_str()
                 );
@@ -794,18 +937,25 @@ mod tests {
     fn torn_append_is_discarded_on_resume() {
         let dev = DeviceModel::ibmqx4();
         let exec = NoisyExecutor::readout_only(&dev);
-        let spec = CharSpec::brute("ibmqx4", 5, 128, 11);
+        let spec = CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 128, 11);
         let path = temp_journal("torn");
         let _ = std::fs::remove_file(&path);
         let plan = FaultPlan::new(2).on_nth(FaultSite::JournalWrite, 2, Fault::Torn);
-        let err = characterize_journaled(&exec, &spec, Some(&path), &plan).unwrap_err();
+        let err = characterize(
+            &exec,
+            &spec,
+            Some(Journal {
+                faults: &plan,
+                ..Journal::at(&path)
+            }),
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
         // The file ends in a torn half-line; resume must drop exactly it.
-        let (resumed, stats) =
-            characterize_journaled(&exec, &spec, Some(&path), &NoFaults).unwrap();
+        let (resumed, stats) = characterize(&exec, &spec, Some(Journal::at(&path))).unwrap();
         assert_eq!(stats.resumed_units, 1);
-        let (clean, _) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
-        assert_eq!(resumed.to_text(), clean.to_text());
+        let (clean, _) = characterize(&exec, &spec, None).unwrap();
+        assert_eq!(resumed, clean);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -815,15 +965,15 @@ mod tests {
         let exec = NoisyExecutor::readout_only(&dev);
         let path = temp_journal("mismatch");
         let _ = std::fs::remove_file(&path);
-        let old = CharSpec::brute("ibmqx4", 5, 128, 1);
-        characterize_journaled(&exec, &old, Some(&path), &NoFaults).unwrap();
+        let old = CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 128, 1);
+        characterize(&exec, &old, Some(Journal::at(&path))).unwrap();
         // Different seed: the stale journal must be ignored, not replayed.
-        let new = CharSpec::brute("ibmqx4", 5, 128, 2);
-        let (resumed, stats) = characterize_journaled(&exec, &new, Some(&path), &NoFaults).unwrap();
+        let new = CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 128, 2);
+        let (resumed, stats) = characterize(&exec, &new, Some(Journal::at(&path))).unwrap();
         assert_eq!(stats.resumed_units, 0);
         assert_eq!(stats.checkpoints_written, stats.total_units);
-        let (clean, _) = characterize_journaled(&exec, &new, None, &NoFaults).unwrap();
-        assert_eq!(resumed.to_text(), clean.to_text());
+        let (clean, _) = characterize(&exec, &new, None).unwrap();
+        assert_eq!(resumed, clean);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -832,8 +982,8 @@ mod tests {
         // The chunked estimator is still an unbiased RBMS estimate.
         let dev = DeviceModel::ibmqx2();
         let exec = NoisyExecutor::readout_only(&dev);
-        let spec = CharSpec::brute("ibmqx2", 5, 4000, 42);
-        let (est, _) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
+        let spec = CharSpec::new(CharMethod::Brute, "ibmqx2", 5, 4000, 42);
+        let (est, _) = characterize(&exec, &spec, None).unwrap();
         assert_eq!(est.trials_used(), 4000 * 32);
         let exact = RbmsTable::exact(&dev.readout());
         assert!(est.mse_vs(&exact) < 0.002);
@@ -844,11 +994,10 @@ mod tests {
         let dev = DeviceModel::ibmqx2();
         let exec = NoisyExecutor::readout_only(&dev);
         let exact = RbmsTable::exact(&dev.readout());
-        let (esct, _) = characterize_journaled(
+        let (esct, _) = characterize(
             &exec,
-            &CharSpec::esct("ibmqx2", 5, 400_000, 9),
+            &CharSpec::new(CharMethod::Esct, "ibmqx2", 5, 400_000, 9),
             None,
-            &NoFaults,
         )
         .unwrap();
         assert!(
@@ -856,13 +1005,8 @@ mod tests {
             "ESCT MSE {}",
             esct.mse_vs(&exact)
         );
-        let (awct, _) = characterize_journaled(
-            &exec,
-            &CharSpec::awct("ibmqx2", 5, 3, 2, 150_000, 9),
-            None,
-            &NoFaults,
-        )
-        .unwrap();
+        let (awct, _) =
+            characterize(&exec, &CharSpec::awct("ibmqx2", 5, 3, 2, 150_000, 9), None).unwrap();
         assert!(
             awct.mse_vs(&exact) < 0.05,
             "AWCT MSE {}",
@@ -878,7 +1022,7 @@ mod tests {
         // follower would), the run is killed partway, and the last
         // exported snapshot resumes bit-identically elsewhere.
         let dev = DeviceModel::ibmqx4();
-        let spec = CharSpec::brute("ibmqx4", 5, 128, 21);
+        let spec = CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 128, 21);
         let src = temp_journal("hook-src");
         let dst = temp_journal("hook-dst");
         let _ = std::fs::remove_file(&src);
@@ -886,7 +1030,7 @@ mod tests {
 
         let baseline = {
             let exec = NoisyExecutor::readout_only(&dev);
-            let (t, _) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
+            let (t, _) = characterize(&exec, &spec, None).unwrap();
             t
         };
 
@@ -903,7 +1047,15 @@ mod tests {
         );
         let exec = NoisyExecutor::readout_only(&dev);
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            characterize_journaled_with_hook(&exec, &spec, Some(&src), &plan, Some(&hook))
+            characterize(
+                &exec,
+                &spec,
+                Some(Journal {
+                    path: &src,
+                    faults: &plan,
+                    on_checkpoint: Some(&hook),
+                }),
+            )
         }));
         assert!(died.is_err(), "scripted kill did not fire");
 
@@ -915,14 +1067,14 @@ mod tests {
 
         // Install on the "follower" and resume there.
         assert_eq!(install_journal(&dst, &text).unwrap(), kill_at - 1);
-        let (resumed, stats) = characterize_journaled(&exec, &spec, Some(&dst), &NoFaults).unwrap();
+        let (resumed, stats) = characterize(&exec, &spec, Some(Journal::at(&dst))).unwrap();
         assert_eq!(stats.resumed_units, kill_at - 1);
         assert_eq!(
             stats.checkpoints_written + stats.resumed_units,
             stats.total_units,
             "handoff must cost exactly one full run in total"
         );
-        assert_eq!(resumed.to_text(), baseline.to_text());
+        assert_eq!(resumed, baseline);
         std::fs::remove_file(&src).ok();
         std::fs::remove_file(&dst).ok();
     }

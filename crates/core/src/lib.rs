@@ -72,8 +72,8 @@ pub mod validate;
 pub use aim::{AdaptiveInvertMeasure, AimReport};
 pub use inversion::InversionString;
 pub use journal::{
-    characterize_journaled, characterize_journaled_with_hook, export_journal, inspect_journal,
-    install_journal, CharMethod, CharSpec, JournalError, JournalStats,
+    characterize, export_journal, inspect_journal, install_journal, CharMethod, CharSpec, Journal,
+    JournalError, JournalStats,
 };
 pub use policy::{Baseline, MeasurementPolicy};
 pub use profile_io::{ProfileError, ProfileMeta};

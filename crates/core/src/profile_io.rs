@@ -24,8 +24,8 @@
 //! `v2` adds provenance metadata ([`ProfileMeta`]) and a CRC32 footer (see
 //! [`crate::checksum`]) covering every preceding byte, so bit rot and
 //! truncation are detected as [`ProfileError::Checksum`] instead of being
-//! parsed into a silently-wrong table. New profiles are saved as `v2`;
-//! existing `v1` files load transparently (with no metadata). Profiles that
+//! parsed into a silently-wrong table. Profiles are written as `v2` only;
+//! existing `v1` files still load (with no metadata). Profiles that
 //! fail the checksum or validation are never deleted — callers quarantine
 //! them aside with [`quarantine_profile`] for post-mortem inspection.
 
@@ -57,6 +57,18 @@ impl Default for ProfileMeta {
             method: "unknown".into(),
             seed: 0,
             window: 0,
+        }
+    }
+}
+
+impl From<&crate::journal::CharSpec> for ProfileMeta {
+    /// The provenance of a profile measured by `spec`.
+    fn from(spec: &crate::journal::CharSpec) -> Self {
+        ProfileMeta {
+            device: spec.device.clone(),
+            method: spec.method.as_str().to_string(),
+            seed: spec.seed,
+            window: spec.window,
         }
     }
 }
@@ -128,24 +140,9 @@ fn sanitize_token(s: &str) -> String {
 }
 
 impl RbmsTable {
-    /// Serializes the profile to the legacy `v1` plain-text format (no
-    /// metadata, no checksum). Kept as the canonical in-memory text form;
-    /// files are written as `v2` via [`save`](RbmsTable::save).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "rbms v1");
-        let _ = writeln!(out, "width {}", self.width());
-        let _ = writeln!(out, "trials {}", self.trials_used());
-        for s in BitString::all(self.width()) {
-            let _ = writeln!(out, "{s} {:.17e}", self.strength(s));
-        }
-        out
-    }
-
     /// Serializes the profile to the `v2` format: provenance metadata plus
     /// a CRC32 footer over every preceding byte.
-    pub fn to_text_v2(&self, meta: &ProfileMeta) -> String {
+    pub fn to_text(&self, meta: &ProfileMeta) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "rbms v2");
@@ -163,26 +160,15 @@ impl RbmsTable {
         out
     }
 
-    /// Parses a profile from either text format, discarding any metadata.
+    /// Parses a profile from either text format. `v2` profiles return
+    /// their [`ProfileMeta`]; `v1` profiles return `None`.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileError::Parse`] naming the offending line on any
     /// malformed input, or [`ProfileError::Checksum`] when a `v2` footer
     /// disagrees with the content.
-    pub fn from_text(text: &str) -> Result<RbmsTable, ProfileError> {
-        Ok(RbmsTable::from_text_with_meta(text)?.0)
-    }
-
-    /// Parses a profile from either text format. `v2` profiles return
-    /// their [`ProfileMeta`]; `v1` profiles return `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_text`](RbmsTable::from_text).
-    pub fn from_text_with_meta(
-        text: &str,
-    ) -> Result<(RbmsTable, Option<ProfileMeta>), ProfileError> {
+    pub fn from_text(text: &str) -> Result<(RbmsTable, Option<ProfileMeta>), ProfileError> {
         let header = text
             .lines()
             .next()
@@ -194,23 +180,13 @@ impl RbmsTable {
         }
     }
 
-    /// Writes the profile to a file in the `v2` format (default metadata),
-    /// crash-safely.
+    /// Writes the profile to a file in the `v2` format, crash-safely, with
+    /// a fault-injection hook at the [`FaultSite::ProfileWrite`] site.
     ///
     /// The text is written to a `.tmp` sibling in the same directory and
     /// atomically renamed over `path`, so a crash (or torn write) mid-save
     /// leaves either the previous profile or no profile at the final path
     /// — never a truncated one. The temp file is cleaned up on failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ProfileError> {
-        self.save_with(path, &invmeas_faults::NoFaults)
-    }
-
-    /// [`save`](RbmsTable::save) with a fault-injection hook at the
-    /// [`FaultSite::ProfileWrite`] site.
     ///
     /// Injected faults model a failing disk: `Torn` writes a prefix of the
     /// bytes and then fails (the rename never happens), `Error` fails
@@ -220,21 +196,7 @@ impl RbmsTable {
     /// # Errors
     ///
     /// Propagates real I/O failures and surfaces injected ones.
-    pub fn save_with(
-        &self,
-        path: impl AsRef<Path>,
-        faults: &dyn FaultInjector,
-    ) -> Result<(), ProfileError> {
-        self.save_v2_with(path, &ProfileMeta::default(), faults)
-    }
-
-    /// [`save_with`](RbmsTable::save_with) carrying real provenance
-    /// metadata into the `v2` header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates real I/O failures and surfaces injected ones.
-    pub fn save_v2_with(
+    pub fn save(
         &self,
         path: impl AsRef<Path>,
         meta: &ProfileMeta,
@@ -248,7 +210,7 @@ impl RbmsTable {
                 return Err(ProfileError::Io(std::io::Error::other(m.clone())));
             }
         }
-        let text = self.to_text_v2(meta);
+        let text = self.to_text(meta);
         let tmp = tmp_sibling(path);
         let result = (|| -> Result<(), ProfileError> {
             let mut file = std::fs::File::create(&tmp)?;
@@ -273,27 +235,8 @@ impl RbmsTable {
         result
     }
 
-    /// Loads a profile from a file (either format).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O, parse, or checksum failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<RbmsTable, ProfileError> {
-        RbmsTable::load_with(path, &invmeas_faults::NoFaults)
-    }
-
-    /// Loads a profile plus its `v2` metadata (`None` for `v1` files).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O, parse, or checksum failures.
-    pub fn load_with_meta(
-        path: impl AsRef<Path>,
-    ) -> Result<(RbmsTable, Option<ProfileMeta>), ProfileError> {
-        RbmsTable::from_text_with_meta(&std::fs::read_to_string(path)?)
-    }
-
-    /// [`load`](RbmsTable::load) with a fault-injection hook at the
+    /// Loads a profile (either format) plus its `v2` metadata (`None` for
+    /// `v1` files), with a fault-injection hook at the
     /// [`FaultSite::ProfileRead`] site.
     ///
     /// `Corrupt` garbles the bytes after reading (modelling on-disk rot —
@@ -303,10 +246,10 @@ impl RbmsTable {
     /// # Errors
     ///
     /// Returns I/O, parse, or checksum failures, real or injected.
-    pub fn load_with(
+    pub fn load(
         path: impl AsRef<Path>,
         faults: &dyn FaultInjector,
-    ) -> Result<RbmsTable, ProfileError> {
+    ) -> Result<(RbmsTable, Option<ProfileMeta>), ProfileError> {
         let fault = faults.check(FaultSite::ProfileRead);
         if let Some(f) = &fault {
             f.apply_latency();
@@ -512,7 +455,7 @@ pub fn install_profile_text(
     path: &Path,
     text: &str,
 ) -> Result<(RbmsTable, ProfileMeta), ProfileError> {
-    let (table, meta) = RbmsTable::from_text_with_meta(text)?;
+    let (table, meta) = RbmsTable::from_text(text)?;
     let Some(meta) = meta else {
         return Err(parse_err(
             1,
@@ -563,24 +506,26 @@ pub fn quarantine_profile(path: &Path) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use invmeas_faults::NoFaults;
     use qnoise::DeviceModel;
+
+    /// A profile as older releases wrote it: `rbms v1`, no metadata, no
+    /// checksum.
+    const V1_TEXT: &str = "rbms v1\nwidth 2\ntrials 4242\n00 1.0\n01 0.8\n10 0.9\n11 0.5\n";
 
     #[test]
     fn text_roundtrip() {
         let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
-        let text = table.to_text();
-        let back = RbmsTable::from_text(&text).unwrap();
-        assert_eq!(back.width(), table.width());
-        for s in BitString::all(5) {
-            assert!((back.strength(s) - table.strength(s)).abs() < 1e-12);
-        }
+        let text = table.to_text(&ProfileMeta::default());
+        let (back, _) = RbmsTable::from_text(&text).unwrap();
+        assert_eq!(back, table);
     }
 
     #[test]
     fn trials_survive_roundtrip() {
         let mut table = RbmsTable::from_strengths(2, vec![1.0, 0.8, 0.9, 0.5]);
         table.set_trials_used(4242);
-        let back = RbmsTable::from_text(&table.to_text()).unwrap();
+        let (back, _) = RbmsTable::from_text(&table.to_text(&ProfileMeta::default())).unwrap();
         assert_eq!(back.trials_used(), 4242);
     }
 
@@ -594,46 +539,43 @@ mod tests {
             seed: 2019,
             window: 0,
         };
-        let text = table.to_text_v2(&meta);
+        let text = table.to_text(&meta);
         assert!(text.starts_with("rbms v2\n"));
-        let (back, back_meta) = RbmsTable::from_text_with_meta(&text).unwrap();
+        let (back, back_meta) = RbmsTable::from_text(&text).unwrap();
         assert_eq!(back_meta, Some(meta));
         assert_eq!(back.trials_used(), 512_000);
         assert_eq!(back.strengths(), table.strengths());
-        // And the meta-discarding entry point agrees.
-        assert_eq!(
-            RbmsTable::from_text(&text).unwrap().strengths(),
-            table.strengths()
-        );
     }
 
     #[test]
     fn v1_profiles_still_load_and_report_no_meta() {
         // Migration path: a v1 file written by an older release loads
         // unchanged through the same entry points that handle v2.
-        let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
-        let v1_text = table.to_text();
-        let (back, meta) = RbmsTable::from_text_with_meta(&v1_text).unwrap();
+        let mut table = RbmsTable::from_strengths(2, vec![1.0, 0.8, 0.9, 0.5]);
+        table.set_trials_used(4242);
+        let (back, meta) = RbmsTable::from_text(V1_TEXT).unwrap();
         assert_eq!(meta, None);
-        assert_eq!(back.strengths(), table.strengths());
+        assert_eq!(back, table);
 
         // On-disk migration: drop a v1 file, load it, re-save (v2), reload.
         let dir = std::env::temp_dir().join("invmeas-v1-migration-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("legacy.rbms");
-        std::fs::write(&path, &v1_text).unwrap();
-        let migrated = RbmsTable::load(&path).unwrap();
-        migrated.save(&path).unwrap();
-        let (reloaded, meta) = RbmsTable::load_with_meta(&path).unwrap();
+        std::fs::write(&path, V1_TEXT).unwrap();
+        let (migrated, _) = RbmsTable::load(&path, &NoFaults).unwrap();
+        migrated
+            .save(&path, &ProfileMeta::default(), &NoFaults)
+            .unwrap();
+        let (reloaded, meta) = RbmsTable::load(&path, &NoFaults).unwrap();
         assert_eq!(meta, Some(ProfileMeta::default()));
-        assert_eq!(reloaded.strengths(), table.strengths());
+        assert_eq!(reloaded, table);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn v2_checksum_detects_single_bit_flips() {
         let table = RbmsTable::from_strengths(2, vec![1.0, 0.8, 0.9, 0.5]);
-        let text = table.to_text_v2(&ProfileMeta::default());
+        let text = table.to_text(&ProfileMeta::default());
         let footer_start = text.rfind("crc32").unwrap();
         let mut checksum_hits = 0;
         // Flip one bit in every body byte: each flip must be rejected, and
@@ -660,7 +602,7 @@ mod tests {
     #[test]
     fn v2_truncation_and_footer_tamper_rejected() {
         let table = RbmsTable::from_strengths(2, vec![1.0, 0.8, 0.9, 0.5]);
-        let text = table.to_text_v2(&ProfileMeta::default());
+        let text = table.to_text(&ProfileMeta::default());
         // Truncation loses the footer entirely.
         let footer_start = text.rfind("crc32").unwrap();
         let err = RbmsTable::from_text(&text[..footer_start]).unwrap_err();
@@ -717,7 +659,7 @@ mod tests {
             seed: 7,
             window: 0,
         };
-        let text = table.to_text_v2(&meta);
+        let text = table.to_text(&meta);
 
         // Clean payload: installed byte-for-byte.
         let (back, back_meta) = install_profile_text(&path, &text).unwrap();
@@ -736,7 +678,7 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
 
         // v1 text carries no checksum: refused outright.
-        let err = install_profile_text(&path, &table.to_text()).unwrap_err();
+        let err = install_profile_text(&path, V1_TEXT).unwrap_err();
         assert!(err.to_string().contains("rbms v2"), "{err}");
 
         // Nothing quarantined, no temp litter.
@@ -756,8 +698,10 @@ mod tests {
         let dir = std::env::temp_dir().join("invmeas-profile-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("qx.rbms");
-        table.save(&path).unwrap();
-        let back = RbmsTable::load(&path).unwrap();
+        table
+            .save(&path, &ProfileMeta::default(), &NoFaults)
+            .unwrap();
+        let (back, _) = RbmsTable::load(&path, &NoFaults).unwrap();
         for (a, b) in back.strengths().iter().zip(table.strengths()) {
             assert!((a - b).abs() < 1e-15, "{a} vs {b}");
         }
@@ -805,32 +749,31 @@ mod tests {
         // Serialize a healthy profile, then corrupt it the two realistic
         // ways — truncation and padding — and check both are rejected with
         // an error naming the declared width and the observed row count.
-        let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
-        let text = table.to_text();
+        let text = V1_TEXT;
 
-        let truncated: String = text.lines().take(3 + 20).fold(String::new(), |mut s, l| {
+        let truncated: String = text.lines().take(3 + 2).fold(String::new(), |mut s, l| {
             s.push_str(l);
             s.push('\n');
             s
         });
         let err = RbmsTable::from_text(&truncated).unwrap_err().to_string();
         assert!(
-            err.contains("width 5 declares 32 table rows, found 20"),
+            err.contains("width 2 declares 4 table rows, found 2"),
             "{err}"
         );
 
         // Padding with a row of a *different* width is a width violation…
-        let padded = format!("{text}000000 0.5\n");
+        let padded = format!("{text}000 0.5\n");
         let err = RbmsTable::from_text(&padded).unwrap_err().to_string();
         assert!(err.contains("wrong width"), "{err}");
         // …and a same-width extra row necessarily collides with a slot.
-        let dup = format!("{text}00000 0.5\n");
+        let dup = format!("{text}00 0.5\n");
         let err = RbmsTable::from_text(&dup).unwrap_err().to_string();
         assert!(err.contains("duplicate"), "{err}");
 
         // A width header that under-declares the body is caught on the
         // first row wider than the header, before any count check.
-        let shrunk = text.replacen("width 5", "width 4", 1);
+        let shrunk = text.replacen("width 2", "width 1", 1);
         let err = RbmsTable::from_text(&shrunk).unwrap_err().to_string();
         assert!(err.contains("wrong width"), "{err}");
     }
@@ -857,13 +800,14 @@ mod tests {
         let plan = FaultPlan::new(1)
             .on_nth(FaultSite::ProfileWrite, 1, Fault::Torn)
             .on_nth(FaultSite::ProfileWrite, 3, Fault::Torn);
-        assert!(new.save_with(&path, &plan).is_err());
+        let meta = ProfileMeta::default();
+        assert!(new.save(&path, &meta, &plan).is_err());
         assert!(!path.exists(), "torn write must not create the final path");
 
         // Healthy write, then a torn overwrite: the old profile survives.
-        old.save_with(&path, &plan).unwrap();
-        assert!(new.save_with(&path, &plan).is_err());
-        let back = RbmsTable::load(&path).unwrap();
+        old.save(&path, &meta, &plan).unwrap();
+        assert!(new.save(&path, &meta, &plan).is_err());
+        let (back, _) = RbmsTable::load(&path, &NoFaults).unwrap();
         assert_eq!(back.strengths(), old.strengths());
 
         // No temp litter either way.
@@ -885,12 +829,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("qx.rbms");
         let table = RbmsTable::from_strengths(2, vec![1.0, 0.8, 0.9, 0.5]);
-        table.save(&path).unwrap();
+        table
+            .save(&path, &ProfileMeta::default(), &NoFaults)
+            .unwrap();
 
         let plan = FaultPlan::new(2).on_nth(FaultSite::ProfileRead, 1, Fault::Corrupt);
-        assert!(RbmsTable::load_with(&path, &plan).is_err());
+        assert!(RbmsTable::load(&path, &plan).is_err());
         // The file itself is intact; a clean read still works.
-        assert!(RbmsTable::load_with(&path, &plan).is_ok());
+        assert!(RbmsTable::load(&path, &plan).is_ok());
 
         std::fs::remove_file(&path).ok();
     }
@@ -910,7 +856,10 @@ mod tests {
             1,
             Fault::Error("disk on fire".into()),
         );
-        let err = table.save_with(&path, &plan).unwrap_err().to_string();
+        let err = table
+            .save(&path, &ProfileMeta::default(), &plan)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("disk on fire"), "{err}");
         assert!(!path.exists());
     }

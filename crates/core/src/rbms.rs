@@ -1,7 +1,7 @@
 //! Relative Basis Measurement Strength (RBMS) characterization.
 //!
 //! AIM needs a per-state measurement-strength profile of the machine
-//! (paper §6.2.1 and Appendix A). Three estimators are implemented:
+//! (paper §6.2.1 and Appendix A). Three estimators are available:
 //!
 //! * [`RbmsTable::brute_force`] — prepare and measure every basis state;
 //!   exact but costs `O(2^n)` circuits;
@@ -13,15 +13,15 @@
 //!   superposition estimates. Trials scale as `O(2^m)` instead of `O(2^n)`,
 //!   which is what makes 14-qubit characterization practical.
 //!
-//! ESCT/AWCT estimate strengths from superposition *frequencies*, which
-//! double-count the per-qubit bias (a state is depleted by its own errors
-//! *and* fed by its neighbours' errors). The estimators apply a first-order
-//! square-root correction so their output matches the directly measured
-//! RBMS; the uncorrected estimate is available as [`RbmsTable::esct_raw`]
+//! Each is a thin forward to [`crate::journal::characterize`], the one
+//! engine that measures a profile: the caller's RNG supplies only the job
+//! seed. ESCT/AWCT apply a first-order square-root bias correction there;
+//! the uncorrected ESCT estimate is available as [`RbmsTable::esct_raw`]
 //! for the Appendix-A validation figure.
 
+use crate::journal::{characterize, CharMethod, CharSpec};
 use qnoise::{Executor, ReadoutModel};
-use qsim::{BitString, Circuit, Counts};
+use qsim::BitString;
 use rand::RngCore;
 
 /// A per-basis-state measurement-strength table.
@@ -111,30 +111,18 @@ impl RbmsTable {
     ///
     /// # Panics
     ///
-    /// Panics if the executor covers more than 16 qubits (the exponential
-    /// sweep is the very cost AWCT exists to avoid) or `shots_per_state`
-    /// is 0.
+    /// Panics on a job [`CharSpec::validate`] rejects: more than 14 qubits
+    /// (the exponential sweep is the very cost AWCT exists to avoid) or
+    /// `shots_per_state` of 0.
     pub fn brute_force(
         executor: &dyn Executor,
         shots_per_state: u64,
         rng: &mut dyn RngCore,
     ) -> Self {
-        let n = executor.n_qubits();
-        assert!(n <= 16, "brute force limited to 16 qubits");
-        assert!(shots_per_state > 0, "need at least one shot per state");
-        // One preparation circuit per basis state, dispatched as a single
-        // batch so the executor can sweep them in parallel.
-        let circuits: Vec<Circuit> = BitString::all(n)
-            .map(Circuit::basis_state_preparation)
-            .collect();
-        let logs = executor.run_batch(&circuits, shots_per_state, rng);
-        let strengths = BitString::all(n)
-            .zip(&logs)
-            .map(|(s, log)| log.frequency(&s))
-            .collect();
-        let mut table = RbmsTable::from_strengths(n, strengths);
-        table.trials_used = shots_per_state << n;
-        table
+        Self::run(
+            executor,
+            &Self::spec(executor, CharMethod::Brute, shots_per_state, rng),
+        )
     }
 
     /// ESCT: measures the uniform superposition `total_shots` times and
@@ -146,30 +134,23 @@ impl RbmsTable {
     /// Panics if the executor covers more than 16 qubits or
     /// `total_shots` is 0.
     pub fn esct(executor: &dyn Executor, total_shots: u64, rng: &mut dyn RngCore) -> Self {
-        let mut table = Self::esct_raw(executor, total_shots, rng);
-        for s in &mut table.strengths {
-            *s = s.sqrt();
-        }
-        table
+        Self::run(
+            executor,
+            &Self::spec(executor, CharMethod::Esct, total_shots, rng),
+        )
     }
 
     /// ESCT without the bias correction: the raw relative outcome
     /// frequencies of the uniform superposition, as the paper plots them in
-    /// Figure 4 and Figure 15.
+    /// Figure 4 and Figure 15. Given an RNG in the same state, it reads the
+    /// same units as [`RbmsTable::esct`].
     ///
     /// # Panics
     ///
-    /// Panics if the executor covers more than 16 qubits or
-    /// `total_shots` is 0.
+    /// As [`RbmsTable::esct`].
     pub fn esct_raw(executor: &dyn Executor, total_shots: u64, rng: &mut dyn RngCore) -> Self {
-        let n = executor.n_qubits();
-        assert!(n <= 16, "ESCT table limited to 16 qubits");
-        assert!(total_shots > 0, "need at least one shot");
-        let log = executor.run(&Circuit::uniform_superposition(n), total_shots, rng);
-        let strengths = BitString::all(n).map(|s| log.frequency(&s)).collect();
-        let mut table = RbmsTable::from_strengths(n, strengths);
-        table.trials_used = total_shots;
-        table
+        let spec = Self::spec(executor, CharMethod::Esct, total_shots, rng);
+        crate::journal::esct_raw(executor, &spec).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// AWCT: sliding-window characterization (Appendix A). Characterizes
@@ -192,39 +173,29 @@ impl RbmsTable {
         shots_per_window: u64,
         rng: &mut dyn RngCore,
     ) -> Self {
-        let n = executor.n_qubits();
-        assert!(n <= 20, "AWCT combined table limited to 20 qubits");
-        assert!(window >= 1 && window <= n, "bad window size {window}");
-        assert!(overlap < window, "overlap must be smaller than the window");
-        assert!(shots_per_window > 0, "need at least one shot per window");
+        let spec = CharSpec {
+            window,
+            overlap,
+            ..Self::spec(executor, CharMethod::Awct, shots_per_window, rng)
+        };
+        Self::run(executor, &spec)
+    }
 
-        let starts = awct_starts(n, window, overlap);
+    /// The unlabelled job for `method` on `executor`, seeded from `rng`.
+    fn spec(
+        executor: &dyn Executor,
+        method: CharMethod,
+        shots: u64,
+        rng: &mut dyn RngCore,
+    ) -> CharSpec {
+        CharSpec::new(method, "", executor.n_qubits(), shots, rng.next_u64())
+    }
 
-        // One superposition circuit per window, swept as a batch; then
-        // per-window relative strength estimates (sqrt-corrected).
-        let circuits: Vec<Circuit> = starts
-            .iter()
-            .map(|&lo| awct_window_circuit(n, lo, window))
-            .collect();
-        let logs = executor.run_batch(&circuits, shots_per_window, rng);
-        let trials = shots_per_window * starts.len() as u64;
-        let mut window_tables: Vec<Vec<f64>> = Vec::with_capacity(starts.len());
-        for (&lo, log) in starts.iter().zip(&logs) {
-            // Marginalize onto the window bits.
-            let mut marg = Counts::new(window);
-            for (s, &cnt) in log.iter() {
-                marg.record_n(s.window(lo, window), cnt);
-            }
-            let freqs: Vec<f64> = BitString::all(window)
-                .map(|p| marg.frequency(&p).sqrt())
-                .collect();
-            window_tables.push(freqs);
+    fn run(executor: &dyn Executor, spec: &CharSpec) -> Self {
+        match characterize(executor, spec, None) {
+            Ok((table, _)) => table,
+            Err(e) => panic!("{e}"),
         }
-
-        let strengths = awct_combine(n, window, overlap, &starts, &window_tables);
-        let mut table = RbmsTable::from_strengths(n, strengths);
-        table.trials_used = trials;
-        table
     }
 
     /// The register width.
@@ -303,83 +274,6 @@ impl RbmsTable {
     pub fn hamming_correlation(&self) -> f64 {
         qmetrics::hamming_weight_correlation(self.width, &self.relative())
     }
-}
-
-/// AWCT window start positions: stride `window - overlap`, clipped so the
-/// final window ends exactly at `n`. A pure function of the geometry, so
-/// the journaled (unit-at-a-time) characterization and the batched
-/// [`RbmsTable::awct`] agree on the decomposition.
-pub(crate) fn awct_starts(n: usize, window: usize, overlap: usize) -> Vec<usize> {
-    let stride = window - overlap;
-    let mut starts = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        if pos + window >= n {
-            starts.push(n - window);
-            break;
-        }
-        starts.push(pos);
-        pos += stride;
-    }
-    starts
-}
-
-/// The uniform-superposition circuit over one AWCT window.
-pub(crate) fn awct_window_circuit(n: usize, lo: usize, window: usize) -> Circuit {
-    let mut circuit = Circuit::new(n);
-    for q in lo..lo + window {
-        circuit.h(q);
-    }
-    circuit
-}
-
-/// Combines per-window sqrt-corrected frequency tables into the full
-/// `2^n` strength vector, dividing out the overlap marginals — the pure
-/// second half of [`RbmsTable::awct`], shared with the journaled path.
-pub(crate) fn awct_combine(
-    n: usize,
-    window: usize,
-    overlap: usize,
-    starts: &[usize],
-    window_tables: &[Vec<f64>],
-) -> Vec<f64> {
-    // Overlap marginals for every window after the first: the marginal
-    // of the window estimate over its first `overlap` qubits.
-    let mut overlap_tables: Vec<Vec<f64>> = Vec::with_capacity(starts.len());
-    for (w, table) in window_tables.iter().enumerate() {
-        if w == 0 || overlap == 0 {
-            overlap_tables.push(Vec::new());
-            continue;
-        }
-        // Sum of squared (i.e. raw) frequencies over the suffix bits,
-        // then sqrt again to stay on the corrected scale.
-        let mut sums = vec![0.0f64; 1 << overlap];
-        for (pat_idx, &val) in table.iter().enumerate() {
-            sums[pat_idx & ((1 << overlap) - 1)] += val * val;
-        }
-        overlap_tables.push(sums.into_iter().map(f64::sqrt).collect());
-    }
-
-    // Combine into the full 2^n table.
-    let dim = 1usize << n;
-    let mut strengths = vec![0.0f64; dim];
-    for (idx, out) in strengths.iter_mut().enumerate() {
-        let s = BitString::from_value(idx as u64, n);
-        let mut val = 1.0f64;
-        for (w, &lo) in starts.iter().enumerate() {
-            let pat = s.window(lo, window).index();
-            val *= window_tables[w][pat];
-            if w > 0 && overlap > 0 {
-                let ov = s.window(lo, overlap).index();
-                let denom = overlap_tables[w][ov];
-                if denom > 0.0 {
-                    val /= denom;
-                }
-            }
-        }
-        *out = val;
-    }
-    strengths
 }
 
 #[cfg(test)]

@@ -15,9 +15,11 @@
 //!   a per-key slot, so a burst of N requests performs exactly one
 //!   characterization and N−1 hits;
 //! * **persistence** — with a profile directory configured, measured
-//!   tables are written through via `profile_io` (`rbms v1` files named
+//!   tables are written through via `profile_io` (`rbms v2` files named
 //!   `<device>-<method>-w<window>.rbms`, crash-safe temp-and-rename
-//!   writes) and later instances warm up from disk;
+//!   writes) and later instances warm up from disk. The directory changes
+//!   where a profile lives, not what it holds: with or without it the
+//!   same characterization units run, so the table is the same;
 //! * **determinism** — the measurement RNG seed is derived from the
 //!   server's profile seed and the key (never from the request), so the
 //!   cached table does not depend on which concurrent request got there
@@ -40,16 +42,13 @@ use crate::overload::RetryBudget;
 use crate::protocol::{CacheOutcome, MethodKind};
 use crate::replicate::ProfileReplicator;
 use invmeas::journal::{
-    characterize_journaled_with_hook, export_journal, install_journal, CharSpec, JournalError,
-    JournalStats,
+    characterize, export_journal, install_journal, CharSpec, Journal, JournalError, JournalStats,
 };
 use invmeas::profile_io::{install_profile_text, quarantine_profile, ProfileError, ProfileMeta};
 use invmeas::RbmsTable;
 use invmeas_faults::{Fault, FaultInjector, FaultSite, NoFaults};
 use qmetrics::ServiceCounters;
 use qnoise::{drift_score, DeviceModel, NoisyExecutor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -304,18 +303,23 @@ impl ProfileCache {
 
         // Bounded retry around transient characterization failures, with a
         // deterministic backoff schedule (seeded jitter, no RNG state).
+        let spec = CharSpec::new(
+            method,
+            device,
+            snapshot.n_qubits(),
+            shots,
+            self.char_seed(snapshot.name(), method, window),
+        );
         let mut attempt = 0u32;
         let failure = loop {
-            match self.measure(device, snapshot, window, method, shots) {
+            match self.measure(snapshot, window, &spec) {
                 Ok((table, stats)) => {
-                    if let Some(stats) = stats {
-                        self.counters
-                            .add_journal_checkpoints(stats.checkpoints_written);
-                        if stats.resumed() {
-                            self.counters.inc_resumed_job();
-                        }
+                    self.counters
+                        .add_journal_checkpoints(stats.checkpoints_written);
+                    if stats.resumed() {
+                        self.counters.inc_resumed_job();
                     }
-                    self.persist(device, snapshot, method, window, &table);
+                    self.persist(window, &spec, &table);
                     self.install(&mut state, window, shots, snapshot, &table);
                     self.with_breaker_of(device, |b| b.record_success());
                     return Ok((table, CacheOutcome::Miss));
@@ -422,31 +426,23 @@ impl ProfileCache {
         }
     }
 
-    /// Measures a profile with a seed that is a pure function of the
-    /// configuration and the (device, method, window) key. Registers one
-    /// [`FaultSite::Characterize`] arrival per call.
+    /// Measures `spec`, whose seed is a pure function of the configuration
+    /// and the (device, method, window) key. Registers one
+    /// [`FaultSite::Characterize`] arrival per valid call.
     ///
-    /// With a profile directory configured the measurement runs through
-    /// the journaled characterization path, checkpointing each completed
-    /// work unit to `<profile path>.journal`: a worker that panics (or a
+    /// With a profile directory configured, each completed work unit is
+    /// checkpointed to `<profile path>.journal`: a worker that panics (or a
     /// process that dies) mid-characterization leaves the journal behind,
     /// and the retry — or the next process — resumes from it
-    /// bit-identically instead of re-measuring from scratch. The second
-    /// element of the result reports what the journal did.
+    /// bit-identically instead of re-measuring from scratch. Without one
+    /// the same units run unjournaled, so the table is the same either way.
     fn measure(
         &self,
-        device: &str,
         snapshot: &DeviceModel,
         window: u64,
-        method: MethodKind,
-        shots: u64,
-    ) -> Result<(RbmsTable, Option<JournalStats>), MeasureError> {
-        let n = snapshot.n_qubits();
-        if method == MethodKind::Brute && n > 14 {
-            return Err(MeasureError::Permanent(format!(
-                "brute-force characterization limited to 14 qubits ({n} requested); use awct"
-            )));
-        }
+        spec: &CharSpec,
+    ) -> Result<(RbmsTable, JournalStats), MeasureError> {
+        spec.validate().map_err(MeasureError::Permanent)?;
         if let Some(f) = self.faults.check(FaultSite::Characterize) {
             f.apply_latency();
             match f {
@@ -456,51 +452,36 @@ impl ProfileCache {
             }
         }
         let exec = NoisyExecutor::from_device(snapshot).with_threads(self.config.exec_threads);
-        let seed = self.char_seed(snapshot.name(), method, window);
-        if let Some(journal) = self.journal_path(device, method, window) {
-            if let Some(dir) = journal.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let spec = self.char_spec(device, n, method, shots, seed);
-            // With a replicator installed, every checkpoint append ships
-            // the whole journal to the followers — so a node that dies
-            // mid-characterization leaves its last completed unit on the
-            // survivors' disks, and the promoted follower resumes from
-            // there bit-identically instead of starting over.
-            let hook = self.replicator.as_ref().map(|r| {
-                let journal = journal.clone();
-                let device = device.to_string();
+        let path = self.journal_path(&spec.device, spec.method, window);
+        if let Some(dir) = path.as_ref().and_then(|p| p.parent()) {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        // With a replicator installed, every checkpoint append ships the
+        // whole journal to the followers — so a node that dies
+        // mid-characterization leaves its last completed unit on the
+        // survivors' disks, and the promoted follower resumes from there
+        // bit-identically instead of starting over.
+        let hook = path
+            .as_ref()
+            .zip(self.replicator.as_ref())
+            .map(|(path, r)| {
                 move |_checkpoints: u64| {
-                    if let Ok(Some(text)) = export_journal(&journal) {
-                        r.replicate_journal(&device, method, window, &text);
+                    if let Ok(Some(text)) = export_journal(path) {
+                        r.replicate_journal(&spec.device, spec.method, window, &text);
                     }
                 }
             });
-            return match characterize_journaled_with_hook(
-                &exec,
-                &spec,
-                Some(&journal),
-                self.faults.as_ref(),
-                hook.as_ref().map(|h| h as &(dyn Fn(u64) + Sync)),
-            ) {
-                Ok((table, stats)) => Ok((table, Some(stats))),
-                // A journal write failure is transient: the checkpoints
-                // already on disk survive, so the retry resumes them.
-                Err(JournalError::Io(e)) => Err(MeasureError::Transient(format!(
-                    "journal write failed: {e}"
-                ))),
-                Err(JournalError::Invalid(m)) => Err(MeasureError::Permanent(m)),
-            };
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let table = match method {
-            MethodKind::Brute => RbmsTable::brute_force(&exec, shots, &mut rng),
-            MethodKind::Esct => RbmsTable::esct(&exec, shots, &mut rng),
-            MethodKind::Awct => {
-                RbmsTable::awct(&exec, 4.min(n), 2.min(n.saturating_sub(1)), shots, &mut rng)
-            }
-        };
-        Ok((table, None))
+        let journal = path.as_deref().map(|path| Journal {
+            path,
+            faults: self.faults.as_ref(),
+            on_checkpoint: hook.as_ref().map(|h| h as &(dyn Fn(u64) + Sync)),
+        });
+        characterize(&exec, spec, journal).map_err(|e| match e {
+            // A journal write failure is transient: the checkpoints
+            // already on disk survive, so the retry resumes them.
+            JournalError::Io(e) => MeasureError::Transient(format!("journal write failed: {e}")),
+            JournalError::Invalid(m) => MeasureError::Permanent(m),
+        })
     }
 
     /// The characterization seed: a pure function of the configuration and
@@ -512,24 +493,6 @@ impl ProfileCache {
             .wrapping_add(fnv(device_name))
             .wrapping_add(fnv(method.as_str()))
             .wrapping_add(window)
-    }
-
-    /// The journaled-characterization job for this key.
-    fn char_spec(
-        &self,
-        device: &str,
-        n: usize,
-        method: MethodKind,
-        shots: u64,
-        seed: u64,
-    ) -> CharSpec {
-        match method {
-            MethodKind::Brute => CharSpec::brute(device, n, shots, seed),
-            MethodKind::Esct => CharSpec::esct(device, n, shots, seed),
-            MethodKind::Awct => {
-                CharSpec::awct(device, n, 4.min(n), 2.min(n.saturating_sub(1)), shots, seed)
-            }
-        }
     }
 
     fn profile_path(&self, device: &str, method: MethodKind, window: u64) -> Option<PathBuf> {
@@ -572,8 +535,8 @@ impl ProfileCache {
         // wrong* or fails its checksum is evidence of corruption, so it is
         // quarantined aside (never deleted) where an operator can inspect
         // it; a file that merely cannot be read right now is left alone.
-        let table = match RbmsTable::load_with(&path, self.faults.as_ref()) {
-            Ok(table) => table,
+        let table = match RbmsTable::load(&path, self.faults.as_ref()) {
+            Ok((table, _)) => table,
             Err(ProfileError::Io(_)) => return None,
             Err(ProfileError::Parse { .. } | ProfileError::Checksum { .. }) => {
                 if quarantine_profile(&path).is_ok() {
@@ -585,36 +548,19 @@ impl ProfileCache {
         (table.width() == snapshot.n_qubits()).then_some(table)
     }
 
-    fn persist(
-        &self,
-        device: &str,
-        snapshot: &DeviceModel,
-        method: MethodKind,
-        window: u64,
-        table: &RbmsTable,
-    ) {
+    fn persist(&self, window: u64, spec: &CharSpec, table: &RbmsTable) {
+        let (device, method) = (spec.device.as_str(), spec.method);
         if let Some(path) = self.profile_path(device, method, window) {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            let n = snapshot.n_qubits();
-            let meta = ProfileMeta {
-                device: device.to_string(),
-                method: method.as_str().to_string(),
-                seed: self.char_seed(snapshot.name(), method, window),
-                window: if method == MethodKind::Awct {
-                    4.min(n)
-                } else {
-                    0
-                },
-            };
             // Best effort: a full disk (or an injected torn write) must not
             // fail the request — and the crash-safe writer guarantees the
             // final path never holds a partial profile. The characterization
             // journal outlives a failed save on purpose: until the profile
             // is durably on disk, the checkpoints are the recovery story.
             if table
-                .save_v2_with(&path, &meta, self.faults.as_ref())
+                .save(&path, &ProfileMeta::from(spec), self.faults.as_ref())
                 .is_ok()
             {
                 if let Some(journal) = self.journal_path(device, method, window) {
@@ -742,11 +688,8 @@ impl ProfileCache {
             let Some((device, method)) = rest.rsplit_once('-') else {
                 continue;
             };
-            let method = match method {
-                "brute" => MethodKind::Brute,
-                "esct" => MethodKind::Esct,
-                "awct" => MethodKind::Awct,
-                _ => continue,
+            let Some(method) = MethodKind::parse(method) else {
+                continue;
             };
             if let Ok(text) = std::fs::read_to_string(&path) {
                 replicator.replicate_profile(device, method, window, &text);
@@ -917,6 +860,37 @@ mod tests {
             .unwrap_err();
         assert!(matches!(e, CacheError::Invalid(_)), "{e:?}");
         assert!(e.to_string().contains("limited to 14"), "{e}");
+    }
+
+    #[test]
+    fn over_wide_esct_is_invalid_not_a_panic() {
+        let wide = DeviceModel::ideal(17);
+        let e = cache()
+            .get_or_measure("ideal-17", &wide, 0, MethodKind::Esct, 8)
+            .unwrap_err();
+        assert!(matches!(e, CacheError::Invalid(_)), "{e:?}");
+        assert!(e.to_string().contains("limited to 16"), "{e}");
+    }
+
+    #[test]
+    fn profile_dir_does_not_change_the_table() {
+        let dir =
+            std::env::temp_dir().join(format!("invmeas-cache-dir-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let on_disk = ProfileCache::new(CacheConfig {
+            profile_dir: Some(dir.clone()),
+            ..CacheConfig::default()
+        });
+        let in_memory = cache();
+        let dev = DeviceModel::ibmq_melbourne().subdevice(&[0, 1, 2, 3, 4, 5, 6]);
+        for method in [MethodKind::Brute, MethodKind::Esct, MethodKind::Awct] {
+            let (a, _) = in_memory
+                .get_or_measure("sub7", &dev, 3, method, 96)
+                .unwrap();
+            let (b, _) = on_disk.get_or_measure("sub7", &dev, 3, method, 96).unwrap();
+            assert_eq!(a, b, "{method:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1100,7 +1074,7 @@ mod tests {
         let quarantined = dir.join("ibmqx2-brute-w0.rbms.quarantined");
         assert_eq!(std::fs::read(&quarantined).unwrap(), bytes);
         // …and the re-measured profile replaced the original.
-        assert!(RbmsTable::load(&path).is_ok());
+        assert!(RbmsTable::load(&path, &NoFaults).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -65,35 +65,12 @@ impl PolicyKind {
     }
 }
 
-/// Characterization technique names on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MethodKind {
-    /// Prepare-and-measure every basis state.
-    Brute,
-    /// Equal-superposition characterization.
-    Esct,
-    /// Sliding-window characterization.
-    Awct,
-}
+/// Characterization technique names on the wire: the core's
+/// [`CharMethod`](invmeas::CharMethod), spelled by its `as_str`.
+pub use invmeas::CharMethod as MethodKind;
 
-impl MethodKind {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MethodKind::Brute => "brute",
-            MethodKind::Esct => "esct",
-            MethodKind::Awct => "awct",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, ProtocolError> {
-        match s {
-            "brute" => Ok(MethodKind::Brute),
-            "esct" => Ok(MethodKind::Esct),
-            "awct" => Ok(MethodKind::Awct),
-            other => Err(ProtocolError::new(format!("unknown method {other:?}"))),
-        }
-    }
+fn parse_method(s: &str) -> Result<MethodKind, ProtocolError> {
+    MethodKind::parse(s).ok_or_else(|| ProtocolError::new(format!("unknown method {s:?}")))
 }
 
 /// How a request's profile need was met.
@@ -352,7 +329,7 @@ impl Request {
             })),
             "characterize" => Ok(Request::Characterize(CharacterizeRequest {
                 device: require_str(&v, "device")?.to_string(),
-                method: MethodKind::parse(opt_str(&v, "method").unwrap_or("brute"))?,
+                method: parse_method(opt_str(&v, "method").unwrap_or("brute"))?,
                 shots: opt_u64(&v, "shots")?.unwrap_or(0),
                 fwd: v.get("fwd").and_then(Json::as_bool).unwrap_or(false),
             })),
@@ -361,7 +338,7 @@ impl Request {
             }),
             "replicate" => Ok(Request::Replicate(ReplicateRequest {
                 device: require_str(&v, "device")?.to_string(),
-                method: MethodKind::parse(opt_str(&v, "method").unwrap_or("brute"))?,
+                method: parse_method(opt_str(&v, "method").unwrap_or("brute"))?,
                 window: opt_u64(&v, "window")?.unwrap_or(0),
                 profile: opt_str(&v, "profile").map(str::to_string),
                 journal: opt_str(&v, "journal").map(str::to_string),
@@ -369,7 +346,7 @@ impl Request {
             })),
             "fetch-profile" => Ok(Request::FetchProfile {
                 device: require_str(&v, "device")?.to_string(),
-                method: MethodKind::parse(opt_str(&v, "method").unwrap_or("brute"))?,
+                method: parse_method(opt_str(&v, "method").unwrap_or("brute"))?,
                 window: opt_u64(&v, "window")?
                     .ok_or_else(|| ProtocolError::new("fetch-profile needs a window index"))?,
             }),
@@ -794,7 +771,7 @@ impl Response {
             "characterize" => Ok(Response::Characterize(CharacterizeResponse {
                 device: require_str(&v, "device")?.to_string(),
                 window: require_u64(&v, "window")?,
-                method: MethodKind::parse(require_str(&v, "method")?)?,
+                method: parse_method(require_str(&v, "method")?)?,
                 width: require_u64(&v, "width")?,
                 trials: require_u64(&v, "trials")?,
                 strongest: require_str(&v, "strongest")?.to_string(),
@@ -893,7 +870,7 @@ impl Response {
             }),
             "fetch-profile" => Ok(Response::Profile {
                 device: require_str(&v, "device")?.to_string(),
-                method: MethodKind::parse(require_str(&v, "method")?)?,
+                method: parse_method(require_str(&v, "method")?)?,
                 window: require_u64(&v, "window")?,
                 profile: require_str(&v, "profile")?.to_string(),
             }),

@@ -327,6 +327,27 @@ fn protocol_errors_over_the_wire() {
     shutdown(addr, handle);
 }
 
+/// A characterization beyond its technique's width limit (ESCT beyond
+/// 16 qubits) is a client error, answered 400 without panicking a worker.
+#[test]
+fn over_wide_esct_characterization_is_a_bad_request() {
+    let (addr, handle) = start(ServerConfig::default());
+    let req = Request::Characterize(CharacterizeRequest {
+        device: "ideal-17".into(),
+        method: MethodKind::Esct,
+        shots: 0,
+        fwd: false,
+    });
+    match call(addr, &req).expect("response") {
+        Response::Error { code, message } => {
+            assert_eq!(code, 400);
+            assert!(message.contains("limited to 16 qubits"), "{message}");
+        }
+        other => panic!("wrong response {other:?}"),
+    }
+    shutdown(addr, handle);
+}
+
 /// One line of 200 000 `[` used to overflow the event-loop thread's stack
 /// and abort the node. It must now be an ordinary `400`, and the node must
 /// keep serving.

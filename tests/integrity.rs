@@ -3,7 +3,7 @@
 //! quarantined rather than silently loaded (DESIGN.md §13).
 
 use invmeas::profile_io::quarantine_profile;
-use invmeas::{characterize_journaled, CharSpec, ProfileError, ProfileMeta, RbmsTable};
+use invmeas::{characterize, CharMethod, CharSpec, Journal, ProfileError, ProfileMeta, RbmsTable};
 use invmeas_faults::{FaultPlan, NoFaults};
 use qnoise::{DeviceModel, NoisyExecutor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,9 +19,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn specs_for(dev: &DeviceModel) -> Vec<CharSpec> {
     let n = dev.n_qubits();
     vec![
-        CharSpec::brute(dev.name(), n, 200, 0xC0FFEE),
-        CharSpec::esct(dev.name(), n, 2_000, 0xC0FFEE),
-        CharSpec::awct(dev.name(), n, 4.min(n), 2.min(n - 1), 1_500, 0xC0FFEE),
+        CharSpec::new(CharMethod::Brute, dev.name(), n, 200, 0xC0FFEE),
+        CharSpec::new(CharMethod::Esct, dev.name(), n, 2_000, 0xC0FFEE),
+        CharSpec::new(CharMethod::Awct, dev.name(), n, 1_500, 0xC0FFEE),
     ]
 }
 
@@ -43,8 +43,7 @@ fn killed_journaled_runs_resume_bit_identically_across_methods() {
         // Uninterrupted journaled reference on one thread.
         let exec = NoisyExecutor::from_device(&dev).with_threads(1);
         let clean = dir.join(format!("clean-{i}.journal"));
-        let (baseline, stats) =
-            characterize_journaled(&exec, &spec, Some(&clean), &NoFaults).unwrap();
+        let (baseline, stats) = characterize(&exec, &spec, Some(Journal::at(&clean))).unwrap();
         assert!(
             !stats.resumed(),
             "{:?}: fresh run must not resume",
@@ -61,7 +60,14 @@ fn killed_journaled_runs_resume_bit_identically_across_methods() {
         let exec4 = NoisyExecutor::from_device(&dev).with_threads(4);
         let plan = kill_plan(2);
         let died = catch_unwind(AssertUnwindSafe(|| {
-            characterize_journaled(&exec4, &spec, Some(&crash), &plan)
+            characterize(
+                &exec4,
+                &spec,
+                Some(Journal {
+                    faults: &plan,
+                    ..Journal::at(&crash)
+                }),
+            )
         }));
         assert!(died.is_err(), "{:?}: scripted panic must fire", spec.method);
         assert!(
@@ -70,16 +76,14 @@ fn killed_journaled_runs_resume_bit_identically_across_methods() {
             spec.method
         );
 
-        let (resumed, stats) =
-            characterize_journaled(&exec4, &spec, Some(&crash), &NoFaults).unwrap();
+        let (resumed, stats) = characterize(&exec4, &spec, Some(Journal::at(&crash))).unwrap();
         assert_eq!(
             stats.resumed_units, 1,
             "{:?}: one checkpoint survived",
             spec.method
         );
         assert_eq!(
-            resumed.to_text(),
-            baseline.to_text(),
+            resumed, baseline,
             "{:?}: resumed run must be bit-identical",
             spec.method
         );
@@ -94,24 +98,30 @@ fn killed_journaled_runs_resume_bit_identically_across_methods() {
 fn eight_thread_resume_matches_one_thread_profile() {
     let dev = DeviceModel::ibmqx2();
     let dir = scratch_dir("resume8");
-    let spec = CharSpec::brute(dev.name(), dev.n_qubits(), 250, 0xBEEF);
+    let spec = CharSpec::new(CharMethod::Brute, dev.name(), dev.n_qubits(), 250, 0xBEEF);
 
     let exec1 = NoisyExecutor::from_device(&dev).with_threads(1);
     let clean = dir.join("clean.journal");
-    let (baseline, _) = characterize_journaled(&exec1, &spec, Some(&clean), &NoFaults).unwrap();
+    let (baseline, _) = characterize(&exec1, &spec, Some(Journal::at(&clean))).unwrap();
 
     let exec8 = NoisyExecutor::from_device(&dev).with_threads(8);
     let crash = dir.join("crash.journal");
     let died = catch_unwind(AssertUnwindSafe(|| {
-        characterize_journaled(&exec8, &spec, Some(&crash), &kill_plan(2))
+        characterize(
+            &exec8,
+            &spec,
+            Some(Journal {
+                faults: &kill_plan(2),
+                ..Journal::at(&crash)
+            }),
+        )
     }));
     assert!(died.is_err(), "scripted panic must fire");
 
-    let (resumed, stats) = characterize_journaled(&exec8, &spec, Some(&crash), &NoFaults).unwrap();
+    let (resumed, stats) = characterize(&exec8, &spec, Some(Journal::at(&crash))).unwrap();
     assert_eq!(stats.resumed_units, 1, "one checkpoint survived the kill");
     assert_eq!(
-        resumed.to_text(),
-        baseline.to_text(),
+        resumed, baseline,
         "8-thread resumed profile must be byte-identical to the 1-thread run"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -123,20 +133,27 @@ fn eight_thread_resume_matches_one_thread_profile() {
 fn torn_checkpoint_is_discarded_and_recomputed() {
     let dev = DeviceModel::ibmqx4();
     let dir = scratch_dir("torn");
-    let spec = CharSpec::brute(dev.name(), dev.n_qubits(), 300, 7);
+    let spec = CharSpec::new(CharMethod::Brute, dev.name(), dev.n_qubits(), 300, 7);
     let exec = NoisyExecutor::from_device(&dev).with_threads(2);
 
     let clean = dir.join("clean.journal");
-    let (baseline, _) = characterize_journaled(&exec, &spec, Some(&clean), &NoFaults).unwrap();
+    let (baseline, _) = characterize(&exec, &spec, Some(Journal::at(&clean))).unwrap();
 
     let torn = dir.join("torn.journal");
     let plan = FaultPlan::from_text("faultplan v1\nseed 1\njournal-write 3 torn\n").unwrap();
-    let err = characterize_journaled(&exec, &spec, Some(&torn), &plan);
+    let err = characterize(
+        &exec,
+        &spec,
+        Some(Journal {
+            faults: &plan,
+            ..Journal::at(&torn)
+        }),
+    );
     assert!(err.is_err(), "a torn append reports an I/O failure");
 
-    let (resumed, stats) = characterize_journaled(&exec, &spec, Some(&torn), &NoFaults).unwrap();
+    let (resumed, stats) = characterize(&exec, &spec, Some(Journal::at(&torn))).unwrap();
     assert_eq!(stats.resumed_units, 2, "the two intact checkpoints replay");
-    assert_eq!(resumed.to_text(), baseline.to_text());
+    assert_eq!(resumed, baseline);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -155,8 +172,8 @@ fn flipped_bit_is_caught_by_checksum_and_quarantined() {
     let dev = DeviceModel::ibmqx2();
     let dir = scratch_dir("quarantine");
     let exec = NoisyExecutor::readout_only(&dev);
-    let spec = CharSpec::brute(dev.name(), dev.n_qubits(), 400, 3);
-    let (table, _) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
+    let spec = CharSpec::new(CharMethod::Brute, dev.name(), dev.n_qubits(), 400, 3);
+    let (table, _) = characterize(&exec, &spec, None).unwrap();
 
     let path = dir.join("profile.rbms");
     let meta = ProfileMeta {
@@ -165,15 +182,15 @@ fn flipped_bit_is_caught_by_checksum_and_quarantined() {
         seed: 3,
         window: 0,
     };
-    table.save_v2_with(&path, &meta, &NoFaults).unwrap();
+    table.save(&path, &meta, &NoFaults).unwrap();
 
     // Sanity: the pristine file loads and carries its metadata.
-    let (_, loaded_meta) = RbmsTable::load_with_meta(&path).unwrap();
+    let (_, loaded_meta) = RbmsTable::load(&path, &NoFaults).unwrap();
     assert_eq!(loaded_meta.unwrap().device, dev.name());
 
     flip_one_byte(&path);
     let damaged = std::fs::read(&path).unwrap();
-    let err = RbmsTable::load_with_meta(&path).unwrap_err();
+    let err = RbmsTable::load(&path, &NoFaults).unwrap_err();
     assert!(
         matches!(
             err,
@@ -195,7 +212,7 @@ fn flipped_bit_is_caught_by_checksum_and_quarantined() {
     );
 
     // A second quarantine at the same path picks a fresh name.
-    table.save_v2_with(&path, &meta, &NoFaults).unwrap();
+    table.save(&path, &meta, &NoFaults).unwrap();
     flip_one_byte(&path);
     let moved2 = quarantine_profile(&path).unwrap();
     assert_ne!(
@@ -212,8 +229,8 @@ fn journaled_estimates_track_the_exact_channel() {
     let dev = DeviceModel::ibmqx2();
     let exec = NoisyExecutor::readout_only(&dev);
     let exact = RbmsTable::exact(&dev.readout());
-    let spec = CharSpec::brute(dev.name(), dev.n_qubits(), 4_000, 9);
-    let (est, _) = characterize_journaled(&exec, &spec, None, &NoFaults).unwrap();
+    let spec = CharSpec::new(CharMethod::Brute, dev.name(), dev.n_qubits(), 4_000, 9);
+    let (est, _) = characterize(&exec, &spec, None).unwrap();
     let mse = est.mse_vs(&exact);
     assert!(mse < 0.002, "journaled brute MSE vs exact = {mse}");
 }
