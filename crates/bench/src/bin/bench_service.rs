@@ -479,8 +479,6 @@ fn load_json(phase: &LoadPhase) -> Json {
                     Json::int(c.write_backpressure_events),
                 ),
                 ("queue_depth_peak", Json::int(c.queue_depth_peak)),
-                ("shard_depth_peak", Json::int(c.shard_depth_peak)),
-                ("queue_steals", Json::int(c.queue_steals)),
                 ("connections_reaped", Json::int(c.connections_reaped)),
             ]),
         ),

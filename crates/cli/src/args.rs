@@ -5,6 +5,7 @@
 //! than a derive anyway.
 
 use invmeas::CharMethod;
+use invmeas_service::{ClusterConfig, ServerConfig};
 use std::fmt;
 
 /// A parsed CLI invocation.
@@ -96,8 +97,6 @@ pub struct ServeArgs {
     pub workers: usize,
     /// Bounded job-queue capacity.
     pub queue: usize,
-    /// Run-queue shards (0 = auto: `min(workers, 8)`).
-    pub shards: usize,
     /// Executor threads per job.
     pub exec_threads: usize,
     /// Default characterization budget.
@@ -227,7 +226,7 @@ USAGE:
   invmeas run <FILE.qasm> --device <NAME> [--policy baseline|sim|aim]
               [--shots N] [--expected BITS] [--profile FILE] [--route]
               [--seed N] [--threads N]
-  invmeas serve [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]
+  invmeas serve [--addr HOST:PORT] [--workers N] [--queue N]
                 [--exec-threads N] [--profile-shots N] [--profile-seed N]
                 [--drift-amplitude X] [--drift-threshold X]
                 [--profile-dir DIR] [--idle-timeout-ms N]
@@ -488,28 +487,29 @@ fn parse_f64(flag: &str, value: Option<&str>) -> Result<f64, ArgError> {
 }
 
 fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
+    // The defaults are the server's own, so the CLI cannot drift from them.
+    let d = ServerConfig::default();
     let mut out = ServeArgs {
         addr: DEFAULT_ADDR.to_string(),
-        workers: 2,
-        queue: 32,
-        shards: 0,
-        exec_threads: 1,
-        profile_shots: 2048,
-        profile_seed: 2019,
-        drift_amplitude: 0.05,
-        drift_threshold: 0.0,
+        workers: d.workers,
+        queue: d.queue_capacity,
+        exec_threads: d.exec_threads,
+        profile_shots: d.profile_shots,
+        profile_seed: d.profile_seed,
+        drift_amplitude: d.drift_amplitude,
+        drift_threshold: d.drift_threshold,
         profile_dir: None,
-        idle_timeout_ms: 30_000,
-        retry_limit: 2,
-        retry_backoff_ms: 25,
-        breaker_threshold: 3,
-        breaker_cooldown: 4,
+        idle_timeout_ms: d.idle_timeout_ms,
+        retry_limit: d.retry_limit,
+        retry_backoff_ms: d.retry_backoff_ms,
+        breaker_threshold: d.breaker_failure_threshold,
+        breaker_cooldown: d.breaker_cooldown,
         fault_plan: None,
         net_faults: None,
         cluster: Vec::new(),
-        replication: 1,
-        heartbeat_ms: 1000,
-        heartbeat_miss_limit: 3,
+        replication: ClusterConfig::DEFAULT_REPLICATION,
+        heartbeat_ms: ClusterConfig::DEFAULT_HEARTBEAT_MS,
+        heartbeat_miss_limit: ClusterConfig::DEFAULT_HEARTBEAT_MISS_LIMIT,
     };
     let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
@@ -522,7 +522,6 @@ fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
             }
             "--workers" => out.workers = parse_usize("--workers", it.next())?,
             "--queue" => out.queue = parse_usize("--queue", it.next())?,
-            "--shards" => out.shards = parse_usize("--shards", it.next())?,
             "--exec-threads" => out.exec_threads = parse_usize("--exec-threads", it.next())?,
             "--profile-shots" => out.profile_shots = parse_u64("--profile-shots", it.next())?,
             "--profile-seed" => out.profile_seed = parse_u64("--profile-seed", it.next())?,
@@ -848,7 +847,6 @@ mod tests {
                 assert_eq!(a.addr, DEFAULT_ADDR);
                 assert_eq!(a.workers, 2);
                 assert_eq!(a.queue, 32);
-                assert_eq!(a.shards, 0, "shard count defaults to auto");
                 assert_eq!(a.profile_shots, 2048);
                 assert_eq!(a.profile_dir, None);
                 assert_eq!(a.idle_timeout_ms, 30_000);
@@ -867,7 +865,7 @@ mod tests {
         }
         match parse(&argv(
             "serve --addr 127.0.0.1:0 --workers 4 --queue 8 \
-             --shards 3 --exec-threads 2 \
+             --exec-threads 2 \
              --profile-shots 512 --profile-seed 9 --drift-amplitude 0.1 \
              --drift-threshold 0.02 --profile-dir cache --idle-timeout-ms 500 \
              --retry-limit 1 --retry-backoff-ms 0 --breaker-threshold 2 \
@@ -879,7 +877,6 @@ mod tests {
                 assert_eq!(a.addr, "127.0.0.1:0");
                 assert_eq!(a.workers, 4);
                 assert_eq!(a.queue, 8);
-                assert_eq!(a.shards, 3);
                 assert_eq!(a.exec_threads, 2);
                 assert_eq!(a.profile_shots, 512);
                 assert_eq!(a.profile_seed, 9);
@@ -896,6 +893,38 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+    }
+
+    #[test]
+    fn bare_serve_maps_to_the_default_server_config() {
+        let Command::Serve(a) = parse(&argv("serve")).unwrap() else {
+            panic!("serve must parse");
+        };
+        let mut got = crate::server_config(&a).unwrap();
+        assert_eq!(got.addr, DEFAULT_ADDR, "the CLI has its own port");
+        let want = ServerConfig::default();
+        got.addr.clone_from(&want.addr);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+
+        let members = "127.0.0.1:7001,127.0.0.1:7002";
+        let Command::Serve(a) = parse(&argv(&format!(
+            "serve --addr 127.0.0.1:7001 --cluster {members}"
+        )))
+        .unwrap() else {
+            panic!("serve must parse");
+        };
+        let want = ClusterConfig::new(
+            members.split(',').map(str::to_string).collect(),
+            "127.0.0.1:7001",
+        )
+        .unwrap();
+        assert_eq!(crate::server_config(&a).unwrap().cluster, Some(want));
+    }
+
+    #[test]
+    fn serve_has_no_shards_flag() {
+        let e = parse(&argv("serve --shards 2")).unwrap_err();
+        assert!(e.0.contains("unknown flag"), "{e}");
     }
 
     #[test]

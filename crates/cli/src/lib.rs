@@ -192,7 +192,9 @@ fn policy_kind(p: Policy) -> PolicyKind {
     }
 }
 
-fn serve(a: &ServeArgs) -> Result<String, CliError> {
+/// The server configuration `serve` runs with: every field the flags do
+/// not name keeps its [`ServerConfig::default`] value.
+fn server_config(a: &ServeArgs) -> Result<ServerConfig, CliError> {
     let faults: std::sync::Arc<dyn invmeas_faults::FaultInjector> = match &a.fault_plan {
         Some(path) => std::sync::Arc::new(
             invmeas_faults::FaultPlan::load(path)
@@ -216,11 +218,10 @@ fn serve(a: &ServeArgs) -> Result<String, CliError> {
         c.heartbeat_miss_limit = a.heartbeat_miss_limit;
         Some(c)
     };
-    let config = ServerConfig {
+    Ok(ServerConfig {
         addr: a.addr.clone(),
         workers: a.workers,
         queue_capacity: a.queue,
-        queue_shards: a.shards,
         exec_threads: a.exec_threads,
         profile_shots: a.profile_shots,
         profile_seed: a.profile_seed,
@@ -236,8 +237,11 @@ fn serve(a: &ServeArgs) -> Result<String, CliError> {
         net_faults,
         cluster,
         ..ServerConfig::default()
-    };
-    let server = Server::bind(config)?;
+    })
+}
+
+fn serve(a: &ServeArgs) -> Result<String, CliError> {
+    let server = Server::bind(server_config(a)?)?;
     // Scripts (and the CI smoke job) parse this line to learn the actual
     // port when binding to port 0, so it must reach stdout before serve()
     // blocks.

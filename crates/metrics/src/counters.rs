@@ -160,9 +160,11 @@ macro_rules! service_counters {
 service_counters! {
     /// Counts one received request (of any kind, accepted or rejected).
     requests: inc_requests, inc, Required, "requests";
-    /// Counts one job executed to completion by a worker.
+    /// Counts one job a worker ran to an answer: a success, or a 4xx
+    /// client error such as a `400 bad_request`.
     jobs_executed: inc_jobs_executed, inc, Required, "jobs executed";
-    /// Counts one job that reached a worker but failed.
+    /// Counts one job that reached a worker but failed server-side: a
+    /// `500` (error or panic), a `503`, or a `504` deadline expiry.
     jobs_failed: inc_jobs_failed, inc, Required, "jobs failed";
     /// Counts one request turned away because the queue was full.
     busy_rejections: inc_busy_rejection, inc, Required, "busy rejections";
@@ -219,11 +221,10 @@ service_counters! {
     /// poller reported writability).
     write_backpressure_events: inc_write_backpressure_event, inc, DefaultZero,
         "write backpressure events";
-    /// Records an observed per-shard run-queue depth, keeping the
-    /// high-water mark across all shards.
-    shard_depth_peak: observe_shard_depth, observe, DefaultZero, "shard depth peak";
-    /// Publishes the cross-shard work-steal total (a gauge owned by the
-    /// sharded run queue, mirrored here like the fault-injection total).
+    /// Publishes a run-queue work-steal total. The run queue has one
+    /// FIFO and no shards, so nothing sets this and it reads 0; the row
+    /// stays because the end-to-end benchmark reads
+    /// `CountersSnapshot::queue_steals`.
     queue_steals: set_queue_steals, set, DefaultZero, "queue steals";
     /// Counts one request forwarded to the owning node of its device.
     forwards: inc_forward, inc, DefaultZero, "forwards";
@@ -368,7 +369,7 @@ mod tests {
         })
         .unwrap();
         let rows = s.rows();
-        assert_eq!(rows.len(), 37);
+        assert_eq!(rows.len(), 36);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.value, i as u64 + 1, "{}", row.key);
         }
@@ -425,7 +426,9 @@ mod tests {
     /// i-th counter is i + 1, as rendered before the counters were
     /// declared in one table. Row order follows the table, which puts
     /// `latency total (us)` (and the mean derived from it) ahead of
-    /// `latency max (us)`; labels and values are unchanged.
+    /// `latency max (us)`. The `shard depth peak` row is gone with the
+    /// sharded run queue, so the rows after it number one lower; every
+    /// other label is unchanged.
     #[test]
     fn render_includes_every_counter() {
         let mut next = 0u64;
@@ -471,23 +474,22 @@ mod tests {
             ("epoll wakeups", "23"),
             ("frames parsed", "24"),
             ("write backpressure events", "25"),
-            ("shard depth peak", "26"),
-            ("queue steals", "27"),
-            ("forwards", "28"),
-            ("replication writes", "29"),
-            ("failovers", "30"),
-            ("heartbeats missed", "31"),
-            ("stale map retries", "32"),
-            ("requests shed", "33"),
-            ("retry budget exhausted", "34"),
-            ("peer dials suppressed", "35"),
-            ("net faults injected", "36"),
-            ("partitions healed", "37"),
+            ("queue steals", "26"),
+            ("forwards", "27"),
+            ("replication writes", "28"),
+            ("failovers", "29"),
+            ("heartbeats missed", "30"),
+            ("stale map retries", "31"),
+            ("requests shed", "32"),
+            ("retry budget exhausted", "33"),
+            ("peer dials suppressed", "34"),
+            ("net faults injected", "35"),
+            ("partitions healed", "36"),
         ]
         .iter()
         .map(|(l, v)| (l.to_string(), v.to_string()))
         .collect();
-        assert_eq!(rendered.len(), 39, "{text}");
+        assert_eq!(rendered.len(), 38, "{text}");
         rendered.sort();
         pinned.sort();
         assert_eq!(rendered, pinned, "{text}");

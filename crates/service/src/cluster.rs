@@ -50,6 +50,15 @@ impl fmt::Display for ClusterError {
 impl std::error::Error for ClusterError {}
 
 impl ClusterConfig {
+    /// Followers per device unless configured otherwise.
+    pub const DEFAULT_REPLICATION: usize = 1;
+    /// Heartbeat probe interval unless configured otherwise, in
+    /// milliseconds.
+    pub const DEFAULT_HEARTBEAT_MS: u64 = 1000;
+    /// Missed heartbeats before a peer is declared dead, unless
+    /// configured otherwise.
+    pub const DEFAULT_HEARTBEAT_MISS_LIMIT: u32 = 3;
+
     /// Builds a config from the shared membership list and this node's
     /// own listen address, which must appear verbatim in the list.
     ///
@@ -78,9 +87,9 @@ impl ClusterConfig {
         Ok(ClusterConfig {
             members,
             self_index,
-            replication: 1,
-            heartbeat_ms: 1000,
-            heartbeat_miss_limit: 3,
+            replication: Self::DEFAULT_REPLICATION,
+            heartbeat_ms: Self::DEFAULT_HEARTBEAT_MS,
+            heartbeat_miss_limit: Self::DEFAULT_HEARTBEAT_MISS_LIMIT,
         })
     }
 

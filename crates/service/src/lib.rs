@@ -11,11 +11,10 @@
 //!   `shutdown`) with a hand-rolled serializer/parser ([`json`]) in the
 //!   spirit of `profile_io`'s `rbms v1` format — `std` only, per the
 //!   workspace's offline-dependency policy;
-//! * [`queue`] — bounded job queues; a full queue answers `503 busy`
-//!   instead of growing without bound (backpressure). The server runs the
-//!   sharded variant ([`queue::ShardedQueue`]): jobs hash to a shard by
-//!   connection id and idle workers steal from foreign shards, so one hot
-//!   connection cannot serialize the pool behind a single lock;
+//! * [`queue`] — the bounded run queue between the event loop and the
+//!   workers; a full queue answers `503 busy` instead of growing without
+//!   bound (backpressure), and work whose deadline already passed is shed
+//!   first;
 //! * [`poll`] — a dependency-free readiness poller (raw `epoll` syscalls
 //!   on Linux, a portable fallback elsewhere) plus a cross-thread
 //!   [`poll::Waker`], the foundation of the event-loop front end;
@@ -87,6 +86,6 @@ pub use protocol::{
     MethodKind, PolicyKind, ReplicateRequest, Request, Response, RouteInfo, StatusResponse,
     SubmitRequest, SubmitResponse, PROTOCOL_VERSION,
 };
-pub use queue::{BoundedQueue, PushError, PushReceipt, ShardedQueue, ShedClass};
+pub use queue::{BoundedQueue, PushError, ShedClass};
 pub use replicate::{MeshReplicator, ProfileReplicator};
 pub use server::{Server, ServerConfig};

@@ -1185,7 +1185,8 @@ mod tests {
     }
 
     /// Exact status-line bytes, pinned from the hand-written encoder the
-    /// counter table replaced: every key in its old position, and the
+    /// counter table replaced: every key in its old position (less
+    /// `shard_depth_peak`, deleted with the sharded run queue), and the
     /// omit-when-zero keys absent from a quiet node's line.
     #[test]
     fn status_line_bytes_are_pinned() {
@@ -1212,11 +1213,11 @@ mod tests {
                 r#""breaker_trips":15,"journal_checkpoints":16,"resumed_jobs":17,"#,
                 r#""profiles_quarantined":18,"invariant_clamps":19,"pool_tasks":20,"#,
                 r#""barrier_waits":21,"arena_reuse_hits":22,"epoll_wakeups":23,"#,
-                r#""frames_parsed":24,"write_backpressure_events":25,"shard_depth_peak":26,"#,
-                r#""queue_steals":27,"forwards":28,"replication_writes":29,"failovers":30,"#,
-                r#""heartbeats_missed":31,"stale_map_retries":32,"requests_shed":33,"#,
-                r#""retry_budget_exhausted":34,"peer_dials_suppressed":35,"#,
-                r#""net_faults_injected":36,"partitions_healed":37}}"#,
+                r#""frames_parsed":24,"write_backpressure_events":25,"#,
+                r#""queue_steals":26,"forwards":27,"replication_writes":28,"failovers":29,"#,
+                r#""heartbeats_missed":30,"stale_map_retries":31,"requests_shed":32,"#,
+                r#""retry_budget_exhausted":33,"peer_dials_suppressed":34,"#,
+                r#""net_faults_injected":35,"partitions_healed":36}}"#,
             )
         );
         assert_eq!(
@@ -1231,7 +1232,7 @@ mod tests {
                 r#""journal_checkpoints":0,"resumed_jobs":0,"profiles_quarantined":0,"#,
                 r#""invariant_clamps":0,"pool_tasks":0,"barrier_waits":0,"arena_reuse_hits":0,"#,
                 r#""epoll_wakeups":0,"frames_parsed":0,"write_backpressure_events":0,"#,
-                r#""shard_depth_peak":0,"queue_steals":0,"forwards":0,"replication_writes":0,"#,
+                r#""queue_steals":0,"forwards":0,"replication_writes":0,"#,
                 r#""failovers":0,"heartbeats_missed":0,"stale_map_retries":0}}"#,
             )
         );

@@ -1,4 +1,4 @@
-//! Bounded MPMC job queues with non-blocking admission.
+//! The bounded run queue with non-blocking, priority-aware admission.
 //!
 //! Backpressure policy: producers never block and never buffer without
 //! bound — [`BoundedQueue::try_push`] fails fast when the queue is full so
@@ -7,31 +7,24 @@
 //! queue is closed *and* drained, which is exactly the graceful-shutdown
 //! contract: close, let workers finish what was admitted, exit.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`BoundedQueue`] — the original single Mutex+Condvar FIFO, kept for
-//!   small embedders and as the reference semantics;
-//! * [`ShardedQueue`] — N independently locked shards hashed by
-//!   connection id with work-stealing consumers, so a hot front end never
-//!   serializes every push through one lock. Capacity stays *global* (one
-//!   atomic) so `503 busy` fires at exactly the same depth regardless of
-//!   the shard count, and workers prefer their home shard but steal from
-//!   the others before sleeping, so no shard can starve while any worker
-//!   is idle.
+//! One `Mutex<VecDeque>` and one `Condvar` guard admission, shedding and
+//! drain. The event-loop thread is the only producer and each pop hands a
+//! worker a job that runs for milliseconds, so the lock is taken once per
+//! job on each side and is rarely contended.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// How far past the global capacity control-plane pushes may overflow.
-/// Control ops (health, status, cluster-map, set-window) are tiny,
-/// bounded in number by the connection count, and are exactly what an
-/// operator needs *during* an overload — so they are never shed and get
-/// this much headroom before even they hit `Full`.
+/// How far past the capacity control-plane pushes may overflow. The
+/// queued control ops (a peer's `replicate`, a clustered node's
+/// `set-window` broadcast) are tiny, bounded in number by the connection
+/// count, and are exactly what keeps the mesh consistent *during* an
+/// overload — so they are never shed and get this much headroom before
+/// even they hit `Full`.
 const CONTROL_SLACK: usize = 64;
 
-/// How [`ShardedQueue::try_push_or_shed`] treats an item under pressure.
+/// How [`BoundedQueue::try_push`] treats an item under pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedClass {
     /// Control-plane: never shed, admitted into the overflow slack even
@@ -71,7 +64,7 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
+    /// Creates a queue holding at most `capacity` work items.
     ///
     /// # Panics
     ///
@@ -88,7 +81,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The maximum number of queued items.
+    /// The maximum number of queued work items.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -98,26 +91,66 @@ impl<T> BoundedQueue<T> {
         self.inner.lock().expect("queue poisoned").items.len()
     }
 
-    /// Attempts to enqueue without blocking. On success returns the depth
-    /// *after* insertion (for high-water-mark accounting).
+    /// Attempts to enqueue without blocking, with priority-aware load
+    /// shedding when the queue is at capacity:
+    ///
+    /// * **control** items ([`ShedClass::Control`]) are never shed and
+    ///   are admitted into a small overflow slack past capacity, so
+    ///   operator and mesh commands keep landing while the data plane is
+    ///   saturated;
+    /// * **work** items at capacity evict the queued work item with the
+    ///   earliest deadline that has *already expired* (it would only be
+    ///   dequeued to answer `deadline exceeded` anyway) — the evicted
+    ///   victim is handed back so the caller can answer it immediately,
+    ///   and the new item takes its slot. With no expired victim the
+    ///   push fails `Full`.
+    ///
+    /// On success returns the depth *after* insertion (for high-water-mark
+    /// accounting) and the shed victim, if any.
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] at capacity, [`PushError::Closed`] after
-    /// [`BoundedQueue::close`]; both return the rejected item.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
+    /// [`PushError::Full`] when at capacity with no sheddable victim
+    /// (or a control push exhausted even the slack), [`PushError::Closed`]
+    /// after [`BoundedQueue::close`]; both return the rejected item.
+    pub fn try_push(
+        &self,
+        item: T,
+        now: Instant,
+        class_of: impl Fn(&T) -> ShedClass,
+    ) -> Result<(usize, Option<T>), PushError<T>> {
         let mut inner = self.inner.lock().expect("queue poisoned");
         if inner.closed {
             return Err(PushError::Closed(item));
         }
-        if inner.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
+        let depth = inner.items.len();
+        let mut shed = None;
+        match class_of(&item) {
+            ShedClass::Control if depth >= self.capacity + CONTROL_SLACK => {
+                return Err(PushError::Full(item));
+            }
+            ShedClass::Work { .. } if depth >= self.capacity => {
+                let victim = inner
+                    .items
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, it)| match class_of(it) {
+                        ShedClass::Work { deadline: Some(d) } if d <= now => Some((i, d)),
+                        _ => None,
+                    })
+                    .min_by_key(|&(_, d)| d);
+                match victim {
+                    Some((i, _)) => shed = inner.items.remove(i),
+                    None => return Err(PushError::Full(item)),
+                }
+            }
+            _ => {}
         }
         inner.items.push_back(item);
         let depth = inner.items.len();
         drop(inner);
         self.available.notify_one();
-        Ok(depth)
+        Ok((depth, shed))
     }
 
     /// Dequeues the oldest item, blocking while the queue is open and
@@ -145,330 +178,31 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// What [`ShardedQueue::try_push`] reports on success, for depth-gauge
-/// accounting in the caller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushReceipt {
-    /// Items across all shards after the insertion.
-    pub depth: usize,
-    /// The shard the item landed in.
-    pub shard: usize,
-    /// Items in that shard after the insertion.
-    pub shard_depth: usize,
-}
-
-/// A bounded MPMC FIFO split into independently locked shards.
-///
-/// Pushes hash a caller-supplied key (the connection id) to a home shard;
-/// consumers scan from their own home shard and steal from the rest, so
-/// ordering is FIFO *per shard* and admission order is preserved for any
-/// single connection. Close/drain semantics match [`BoundedQueue`]: after
-/// [`ShardedQueue::close`], pushes fail and [`ShardedQueue::pop`] hands
-/// out what remains before returning `None`.
-#[derive(Debug)]
-pub struct ShardedQueue<T> {
-    shards: Vec<Mutex<VecDeque<T>>>,
-    /// Global item count: capacity is enforced here, not per shard, so
-    /// backpressure depth is independent of the shard count.
-    depth: AtomicUsize,
-    capacity: usize,
-    closed: AtomicBool,
-    steals: AtomicU64,
-    /// Consumers park here when every shard is empty; producers take this
-    /// lock briefly after an insert so the check-then-wait cannot miss a
-    /// wakeup.
-    idle: Mutex<()>,
-    available: Condvar,
-    sleepers: AtomicUsize,
-}
-
-impl<T> ShardedQueue<T> {
-    /// Creates a queue holding at most `capacity` items across `shards`
-    /// shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `shards` is 0.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be at least 1");
-        assert!(shards > 0, "need at least one shard");
-        ShardedQueue {
-            shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            depth: AtomicUsize::new(0),
-            capacity,
-            closed: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            idle: Mutex::new(()),
-            available: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-        }
-    }
-
-    /// The maximum number of queued items (summed over all shards).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current number of queued items across all shards.
-    pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
-    }
-
-    /// Cross-shard steals performed by [`ShardedQueue::pop`] so far.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// The home shard for a connection id (splitmix64 spreads sequential
-    /// ids evenly).
-    fn shard_for(&self, key: u64) -> usize {
-        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) as usize % self.shards.len()
-    }
-
-    /// Attempts to enqueue without blocking, hashing `key` to a shard.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] when the *global* capacity is reached,
-    /// [`PushError::Closed`] after [`ShardedQueue::close`]; both return
-    /// the rejected item.
-    pub fn try_push(&self, key: u64, item: T) -> Result<PushReceipt, PushError<T>> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(PushError::Closed(item));
-        }
-        // Reserve a capacity slot first; undo on rejection. This keeps
-        // the full/busy threshold exact under concurrent pushes.
-        let prior = self.depth.fetch_add(1, Ordering::SeqCst);
-        if prior >= self.capacity {
-            self.depth.fetch_sub(1, Ordering::SeqCst);
-            return Err(PushError::Full(item));
-        }
-        let shard = self.shard_for(key);
-        let shard_depth = {
-            let mut items = self.shards[shard].lock().expect("queue poisoned");
-            // Re-check under the shard lock: `close` sets the flag and
-            // then acquires every shard lock, so an insert that saw
-            // `closed == false` here is ordered before the post-close
-            // drain scan and can never be stranded.
-            if self.closed.load(Ordering::SeqCst) {
-                drop(items);
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                return Err(PushError::Closed(item));
-            }
-            items.push_back(item);
-            items.len()
-        };
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.idle.lock().expect("queue poisoned"));
-            self.available.notify_one();
-        }
-        Ok(PushReceipt {
-            depth: prior + 1,
-            shard,
-            shard_depth,
-        })
-    }
-
-    /// Like [`ShardedQueue::try_push`], but with priority-aware load
-    /// shedding when the queue is at capacity:
-    ///
-    /// * **control** items ([`ShedClass::Control`]) are never shed and
-    ///   are admitted into a small overflow slack past capacity, so
-    ///   health checks and operator commands keep answering while the
-    ///   data plane is saturated;
-    /// * **work** items at capacity first try to evict a queued work
-    ///   item whose deadline has *already expired* (it would only be
-    ///   dequeued to answer `deadline exceeded` anyway) — the evicted
-    ///   victim is handed back so the caller can answer it immediately,
-    ///   and the new item takes its slot. With no expired victim the
-    ///   push fails `Full` as before.
-    ///
-    /// Victim choice is the earliest deadline within the first shard
-    /// (in index order) holding an expired item — an approximation of
-    /// global earliest-deadline that keeps the scan to one shard lock
-    /// at a time.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] when at capacity with no sheddable victim
-    /// (or a control push exhausted even the slack), [`PushError::Closed`]
-    /// after [`ShardedQueue::close`]; both return the rejected item.
-    pub fn try_push_or_shed(
-        &self,
-        key: u64,
-        item: T,
-        now: Instant,
-        class_of: impl Fn(&T) -> ShedClass,
-    ) -> Result<(PushReceipt, Option<T>), PushError<T>> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(PushError::Closed(item));
-        }
-        let class = class_of(&item);
-        let prior = self.depth.fetch_add(1, Ordering::SeqCst);
-        let mut shed = None;
-        match class {
-            ShedClass::Control => {
-                if prior >= self.capacity + CONTROL_SLACK {
-                    self.depth.fetch_sub(1, Ordering::SeqCst);
-                    return Err(PushError::Full(item));
-                }
-            }
-            ShedClass::Work { .. } if prior >= self.capacity => {
-                match self.evict_expired(now, &class_of) {
-                    // The victim freed a slot; our reservation stands.
-                    Some(victim) => shed = Some(victim),
-                    None => {
-                        self.depth.fetch_sub(1, Ordering::SeqCst);
-                        return Err(PushError::Full(item));
-                    }
-                }
-            }
-            ShedClass::Work { .. } => {}
-        }
-        let shard = self.shard_for(key);
-        let shard_depth = {
-            let mut items = self.shards[shard].lock().expect("queue poisoned");
-            if self.closed.load(Ordering::SeqCst) {
-                drop(items);
-                // Closed raced in: put any victim back (its position no
-                // longer matters — drain answers it either way) and
-                // reject ours.
-                if let Some(v) = shed.take() {
-                    self.depth.fetch_add(1, Ordering::SeqCst);
-                    self.shards[0].lock().expect("queue poisoned").push_front(v);
-                }
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                return Err(PushError::Closed(item));
-            }
-            items.push_back(item);
-            items.len()
-        };
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.idle.lock().expect("queue poisoned"));
-            self.available.notify_one();
-        }
-        Ok((
-            PushReceipt {
-                depth: self.depth.load(Ordering::SeqCst),
-                shard,
-                shard_depth,
-            },
-            shed,
-        ))
-    }
-
-    /// Removes and returns the earliest-deadline expired work item from
-    /// the first shard holding one, decrementing the global depth.
-    fn evict_expired(&self, now: Instant, class_of: &impl Fn(&T) -> ShedClass) -> Option<T> {
-        for shard in &self.shards {
-            let mut items = shard.lock().expect("queue poisoned");
-            let victim = items
-                .iter()
-                .enumerate()
-                .filter_map(|(i, it)| match class_of(it) {
-                    ShedClass::Work { deadline: Some(d) } if d <= now => Some((i, d)),
-                    _ => None,
-                })
-                .min_by_key(|&(_, d)| d)
-                .map(|(i, _)| i);
-            if let Some(i) = victim {
-                let item = items.remove(i).expect("index just found");
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// One pass over every shard starting at the consumer's home shard.
-    fn scan(&self, home: usize) -> Option<T> {
-        let n = self.shards.len();
-        for i in 0..n {
-            let shard = (home + i) % n;
-            let item = self.shards[shard]
-                .lock()
-                .expect("queue poisoned")
-                .pop_front();
-            if let Some(item) = item {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                if i > 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(item);
-            }
-        }
-        None
-    }
-
-    /// Dequeues an item, preferring the consumer's home shard
-    /// (`worker % shards`) and stealing from the others before blocking.
-    /// Returns `None` once the queue is closed **and** drained.
-    pub fn pop(&self, worker: usize) -> Option<T> {
-        let home = worker % self.shards.len();
-        loop {
-            if let Some(item) = self.scan(home) {
-                return Some(item);
-            }
-            if self.closed.load(Ordering::SeqCst) {
-                // One rescan after observing the close: any push admitted
-                // concurrently (it read `closed == false` under its shard
-                // lock) completed its insert before `close` flushed that
-                // lock, so this scan sees it.
-                return self.scan(home);
-            }
-            let guard = self.idle.lock().expect("queue poisoned");
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            // Re-check under the idle lock; a producer inserting after
-            // this check sees `sleepers > 0` and takes the idle lock to
-            // notify, so the wait below cannot miss it.
-            if self.depth.load(Ordering::SeqCst) == 0 && !self.closed.load(Ordering::SeqCst) {
-                // The timeout is belt-and-braces only; correctness does
-                // not depend on it.
-                let _ = self
-                    .available
-                    .wait_timeout(guard, std::time::Duration::from_millis(100))
-                    .expect("queue poisoned");
-            }
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Closes the queue: future pushes fail, and consumers drain what
-    /// remains before seeing `None`. Idempotent.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        // Flush every shard lock: after this, any in-flight push that was
-        // admitted has fully inserted, so drain scans are complete.
-        for shard in &self.shards {
-            drop(shard.lock().expect("queue poisoned"));
-        }
-        drop(self.idle.lock().expect("queue poisoned"));
-        self.available.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// Pushes deadline-free work, returning the depth after insertion.
+    fn push<T>(q: &BoundedQueue<T>, item: T) -> Result<usize, PushError<T>> {
+        let eternal = |_: &T| ShedClass::Work { deadline: None };
+        q.try_push(item, Instant::now(), eternal)
+            .map(|(depth, shed)| {
+                assert!(shed.is_none(), "deadline-free work was shed");
+                depth
+            })
+    }
 
     #[test]
     fn fifo_order_and_capacity() {
         let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
+        assert_eq!(push(&q, 1), Ok(1));
+        assert_eq!(push(&q, 2), Ok(2));
+        assert_eq!(push(&q, 3), Err(PushError::Full(3)));
         assert_eq!(q.depth(), 2);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(3), Ok(2));
+        assert_eq!(push(&q, 3), Ok(2));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
     }
@@ -476,10 +210,10 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
+        push(&q, "a").unwrap();
+        push(&q, "b").unwrap();
         q.close();
-        assert_eq!(q.try_push("c"), Err(PushError::Closed("c")));
+        assert_eq!(push(&q, "c"), Err(PushError::Closed("c")));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);
@@ -501,9 +235,9 @@ mod tests {
                 })
             })
             .collect();
-        for i in 0..20 {
+        for i in 0..100 {
             loop {
-                match q.try_push(i) {
+                match push(&q, i) {
                     Ok(_) => break,
                     Err(PushError::Full(_)) => std::thread::yield_now(),
                     Err(PushError::Closed(_)) => unreachable!(),
@@ -512,62 +246,7 @@ mod tests {
         }
         q.close();
         let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 20);
-    }
-
-    #[test]
-    fn sharded_capacity_is_global_not_per_shard() {
-        let q = ShardedQueue::new(2, 4);
-        // Two pushes from different connections land in (likely) different
-        // shards, yet the third is rejected at the global capacity.
-        let a = q.try_push(1, "a").unwrap();
-        let b = q.try_push(2, "b").unwrap();
-        assert_eq!(a.depth, 1);
-        assert_eq!(b.depth, 2);
-        assert_eq!(q.try_push(3, "c"), Err(PushError::Full("c")));
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn sharded_per_connection_order_is_fifo() {
-        let q = ShardedQueue::new(16, 4);
-        for i in 0..8 {
-            q.try_push(42, i).unwrap(); // one connection → one shard
-        }
-        for want in 0..8 {
-            assert_eq!(q.pop(0), Some(want));
-        }
-    }
-
-    #[test]
-    fn sharded_workers_steal_from_foreign_shards() {
-        let q = ShardedQueue::new(64, 8);
-        for key in 0..32u64 {
-            q.try_push(key, key).unwrap();
-        }
-        // One consumer pinned to home shard 0 drains everything.
-        let mut got = Vec::new();
-        q.close();
-        while let Some(item) = q.pop(0) {
-            got.push(item);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..32).collect::<Vec<_>>());
-        assert!(q.steals() > 0, "draining 8 shards from one home must steal");
-    }
-
-    #[test]
-    fn sharded_close_drains_then_ends() {
-        let q = ShardedQueue::new(8, 3);
-        q.try_push(1, "a").unwrap();
-        q.try_push(2, "b").unwrap();
-        q.close();
-        assert_eq!(q.try_push(3, "c"), Err(PushError::Closed("c")));
-        let mut got = vec![q.pop(0).unwrap(), q.pop(1).unwrap()];
-        got.sort_unstable();
-        assert_eq!(got, ["a", "b"]);
-        assert_eq!(q.pop(2), None);
-        assert_eq!(q.pop(0), None); // stays ended
+        assert_eq!(total, 100);
     }
 
     #[derive(Debug, PartialEq, Eq)]
@@ -580,122 +259,116 @@ mod tests {
     #[test]
     fn control_pushes_overflow_capacity_but_work_does_not() {
         let now = Instant::now();
-        let q = ShardedQueue::new(1, 2);
+        let q = BoundedQueue::new(1);
         let work = ShedClass::Work { deadline: None };
-        q.try_push_or_shed(1, Job("w", work), now, class).unwrap();
-        // Work at capacity with no expired victim: Full, as before.
+        q.try_push(Job("w", work), now, class).unwrap();
+        // Work at capacity with no expired victim: Full.
         assert!(matches!(
-            q.try_push_or_shed(2, Job("w2", work), now, class),
+            q.try_push(Job("w2", work), now, class),
             Err(PushError::Full(Job("w2", _)))
         ));
         // Control rides the overflow slack.
-        let (receipt, shed) = q
-            .try_push_or_shed(3, Job("ctl", ShedClass::Control), now, class)
+        let (depth, shed) = q
+            .try_push(Job("ctl", ShedClass::Control), now, class)
             .unwrap();
         assert!(shed.is_none());
-        assert!(receipt.depth > q.capacity());
+        assert!(depth > q.capacity());
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn control_slack_is_bounded() {
         let now = Instant::now();
-        let q = ShardedQueue::new(1, 1);
+        let q = BoundedQueue::new(1);
         let mut admitted = 0;
         loop {
-            match q.try_push_or_shed(admitted, Job("c", ShedClass::Control), now, class) {
+            match q.try_push(Job("c", ShedClass::Control), now, class) {
                 Ok(_) => admitted += 1,
                 Err(PushError::Full(_)) => break,
                 Err(PushError::Closed(_)) => unreachable!(),
             }
         }
-        assert_eq!(admitted as usize, q.capacity() + CONTROL_SLACK);
+        assert_eq!(admitted, q.capacity() + CONTROL_SLACK);
+        // Past the slack, work is still turned away at capacity.
+        assert!(matches!(
+            q.try_push(Job("w", ShedClass::Work { deadline: None }), now, class),
+            Err(PushError::Full(_))
+        ));
     }
 
     #[test]
     fn work_at_capacity_sheds_the_expired_victim() {
         let now = Instant::now();
         let expired = ShedClass::Work {
-            deadline: Some(now - std::time::Duration::from_millis(1)),
+            deadline: Some(now - Duration::from_millis(1)),
         };
         let live = ShedClass::Work {
-            deadline: Some(now + std::time::Duration::from_secs(60)),
+            deadline: Some(now + Duration::from_secs(60)),
         };
-        let q = ShardedQueue::new(2, 1);
-        q.try_push_or_shed(1, Job("live", live), now, class)
-            .unwrap();
-        q.try_push_or_shed(2, Job("expired", expired), now, class)
-            .unwrap();
+        let q = BoundedQueue::new(2);
+        q.try_push(Job("live", live), now, class).unwrap();
+        q.try_push(Job("expired", expired), now, class).unwrap();
         // At capacity: the expired item is evicted, the live one stays.
-        let (receipt, shed) = q.try_push_or_shed(3, Job("new", live), now, class).unwrap();
+        let (depth, shed) = q.try_push(Job("new", live), now, class).unwrap();
         assert_eq!(shed, Some(Job("expired", expired)));
-        assert_eq!(receipt.depth, 2, "slot swapped, not grown");
+        assert_eq!(depth, 2, "slot swapped, not grown");
         assert_eq!(q.depth(), 2);
-        let drained: Vec<_> = [q.pop(0).unwrap(), q.pop(0).unwrap()]
+        let drained: Vec<_> = [q.pop().unwrap(), q.pop().unwrap()]
             .into_iter()
             .map(|j| j.0)
             .collect();
         assert_eq!(drained, ["live", "new"]);
         // No expired victims left: back to plain Full.
-        assert!(q.try_push_or_shed(4, Job("x", live), now, class).is_ok());
-        assert!(q.try_push_or_shed(5, Job("y", live), now, class).is_ok());
+        assert!(q.try_push(Job("x", live), now, class).is_ok());
+        assert!(q.try_push(Job("y", live), now, class).is_ok());
         assert!(matches!(
-            q.try_push_or_shed(6, Job("z", live), now, class),
+            q.try_push(Job("z", live), now, class),
             Err(PushError::Full(_))
         ));
+    }
+
+    #[test]
+    fn shedding_picks_the_earliest_expired_deadline_in_the_queue() {
+        let now = Instant::now();
+        let expired = |ms| ShedClass::Work {
+            deadline: Some(now - Duration::from_millis(ms)),
+        };
+        let live = ShedClass::Work {
+            deadline: Some(now + Duration::from_secs(60)),
+        };
+        let q = BoundedQueue::new(3);
+        q.try_push(Job("1ms", expired(1)), now, class).unwrap();
+        q.try_push(Job("live", live), now, class).unwrap();
+        q.try_push(Job("5ms", expired(5)), now, class).unwrap();
+        let (_, shed) = q.try_push(Job("new", live), now, class).unwrap();
+        assert_eq!(shed, Some(Job("5ms", expired(5))));
+        let (_, shed) = q.try_push(Job("newer", live), now, class).unwrap();
+        assert_eq!(shed, Some(Job("1ms", expired(1))));
+        let drained: Vec<_> = (0..3).map(|_| q.pop().unwrap().0).collect();
+        assert_eq!(drained, ["live", "new", "newer"]);
     }
 
     #[test]
     fn deadline_free_work_is_never_shed() {
         let now = Instant::now();
-        let q = ShardedQueue::new(1, 1);
+        let q = BoundedQueue::new(1);
         let eternal = ShedClass::Work { deadline: None };
-        q.try_push_or_shed(1, Job("eternal", eternal), now, class)
-            .unwrap();
+        q.try_push(Job("eternal", eternal), now, class).unwrap();
         assert!(matches!(
-            q.try_push_or_shed(2, Job("new", eternal), now, class),
+            q.try_push(Job("new", eternal), now, class),
             Err(PushError::Full(_))
         ));
-        assert_eq!(q.pop(0), Some(Job("eternal", eternal)));
+        assert_eq!(q.pop(), Some(Job("eternal", eternal)));
     }
 
     #[test]
     fn shed_push_respects_close() {
         let now = Instant::now();
-        let q = ShardedQueue::new(4, 2);
+        let q = BoundedQueue::new(4);
         q.close();
         assert!(matches!(
-            q.try_push_or_shed(1, Job("c", ShedClass::Control), now, class),
+            q.try_push(Job("c", ShedClass::Control), now, class),
             Err(PushError::Closed(_))
         ));
-    }
-
-    #[test]
-    fn sharded_blocked_consumers_wake_on_push_and_close() {
-        let q = Arc::new(ShardedQueue::new(8, 4));
-        let consumers: Vec<_> = (0..3)
-            .map(|w| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = 0;
-                    while q.pop(w).is_some() {
-                        got += 1;
-                    }
-                    got
-                })
-            })
-            .collect();
-        for i in 0..100u64 {
-            loop {
-                match q.try_push(i, i) {
-                    Ok(_) => break,
-                    Err(PushError::Full(_)) => std::thread::yield_now(),
-                    Err(PushError::Closed(_)) => unreachable!(),
-                }
-            }
-        }
-        q.close();
-        let total: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, 100);
     }
 }

@@ -12,9 +12,9 @@
 //! Cheap requests (`status`, `health`, `set-window`, `shutdown`) are
 //! answered inline while expensive ones (`submit`, `characterize`,
 //! `sleep`, and — on clustered nodes, where it broadcasts to the mesh —
-//! `set-window`) become jobs on the sharded run queue
-//! ([`crate::queue::ShardedQueue`], hashed by connection, drained with
-//! work stealing). The queue is the only buffer: when it is full the
+//! `set-window`) become jobs on the run queue
+//! ([`crate::queue::BoundedQueue`]), which the event loop fills and the
+//! workers drain. The queue is the only buffer: when it is full the
 //! request is answered `503 busy` immediately instead of queueing
 //! unbounded memory.
 //!
@@ -57,7 +57,7 @@ use crate::protocol::{
     MethodKind, PolicyKind, ReplicateRequest, Request, Response, RouteInfo, StatusResponse,
     SubmitRequest, SubmitResponse,
 };
-use crate::queue::{PushError, ShardedQueue, ShedClass};
+use crate::queue::{BoundedQueue, PushError, ShedClass};
 use crate::replicate::MeshReplicator;
 use invmeas::{PolicyChoice, Runner};
 use invmeas_faults::{Fault, FaultInjector, FaultSite, NetFaultPlan, NoFaults};
@@ -82,10 +82,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded job-queue capacity (jobs beyond this get `503 busy`).
     pub queue_capacity: usize,
-    /// Run-queue shards, hashed by connection id and drained with work
-    /// stealing; `0` picks `min(workers, 8)`. The capacity above stays
-    /// global regardless of shard count.
-    pub queue_shards: usize,
     /// Executor threads per job (keep small: jobs already run in parallel).
     pub exec_threads: usize,
     /// Default characterization budget when a request does not name one.
@@ -152,7 +148,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_capacity: 32,
-            queue_shards: 0,
             exec_threads: 1,
             profile_shots: 2048,
             profile_seed: 2019,
@@ -175,17 +170,6 @@ impl Default for ServerConfig {
             retry_budget_refill_milli: 100,
             dial_backoff_base_ms: 50,
             dial_backoff_cap_ms: 2_000,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Effective shard count (`queue_shards`, with `0` resolved).
-    fn effective_shards(&self) -> usize {
-        if self.queue_shards == 0 {
-            self.workers.clamp(1, 8)
-        } else {
-            self.queue_shards
         }
     }
 }
@@ -245,7 +229,7 @@ enum JobKind {
     },
 }
 
-/// Shedding class of a queued job (see [`ShardedQueue::try_push_or_shed`]):
+/// Shedding class of a queued job (see [`BoundedQueue::try_push`]):
 /// mesh control traffic (replica installs, window broadcasts) is never
 /// shed — losing it desynchronizes the mesh — while client work
 /// (submit, characterize, sleep) competes for capacity and carries its
@@ -302,7 +286,7 @@ struct State {
     cache: ProfileCache,
     window: AtomicU64,
     draining: AtomicBool,
-    queue: ShardedQueue<Job>,
+    queue: BoundedQueue<Job>,
     local_addr: SocketAddr,
     faults: Arc<dyn FaultInjector>,
     cluster: Option<ClusterState>,
@@ -433,7 +417,7 @@ impl Server {
                 .with_retry_budget(Arc::clone(&retry_budget)),
             ));
         }
-        let queue = ShardedQueue::new(config.queue_capacity, config.effective_shards());
+        let queue = BoundedQueue::new(config.queue_capacity);
         Ok(Server {
             listener,
             state: Arc::new(State {
@@ -470,7 +454,7 @@ impl Server {
                 let state = Arc::clone(&self.state);
                 std::thread::Builder::new()
                     .name(format!("invmeas-worker-{i}"))
-                    .spawn(move || worker_loop(&state, i))
+                    .spawn(move || worker_loop(&state))
                     .expect("spawn worker")
             })
             .collect();
@@ -501,14 +485,13 @@ impl Server {
 }
 
 /// Copies the gauges owned elsewhere — fault plans, the core validation
-/// ledger, the run queue, the simulator's pool and arena, the retry
-/// budget, the dial gate, and the net-fault plan — into the counter
-/// bundle, so every snapshot carries them.
+/// ledger, the simulator's pool and arena, the retry budget, the dial
+/// gate, and the net-fault plan — into the counter bundle, so every
+/// snapshot carries them.
 fn mirror_gauges(state: &State) {
     let c = &state.counters;
     c.set_faults_injected(state.faults.injected());
     c.set_invariant_clamps(invmeas::validate::invariant_clamps());
-    c.set_queue_steals(state.queue.steals());
     c.set_pool_tasks(qsim::pool::pool_tasks());
     c.set_barrier_waits(qsim::pool::barrier_waits());
     c.set_arena_reuse_hits(qsim::arena::arena_reuse_hits());
@@ -1233,21 +1216,15 @@ impl EventLoop<'_> {
             enqueued: Instant::now(),
             deadline,
         };
-        match state
-            .queue
-            .try_push_or_shed(conn.token(), job, Instant::now(), job_class)
-        {
-            Ok((receipt, victim)) => {
+        match state.queue.try_push(job, Instant::now(), job_class) {
+            Ok((depth, victim)) => {
                 if let Some(v) = victim {
                     // The victim's 504 flows back through the completion
                     // mailbox like any finished job, so its connection's
                     // inflight/outstanding accounting balances normally.
                     answer_shed(state, v);
                 }
-                state.counters.observe_queue_depth(receipt.depth as u64);
-                state
-                    .counters
-                    .observe_shard_depth(receipt.shard_depth as u64);
+                state.counters.observe_queue_depth(depth as u64);
                 conn.inflight += 1;
                 self.outstanding += 1;
                 None
@@ -1364,8 +1341,8 @@ impl EventLoop<'_> {
 // Worker pool
 // ---------------------------------------------------------------------------
 
-fn worker_loop(state: &State, worker: usize) {
-    while let Some(job) = state.queue.pop(worker) {
+fn worker_loop(state: &State) {
+    while let Some(job) = state.queue.pop() {
         // Deadline check at dequeue: an expired job is answered without
         // consuming worker time, so one slow job cannot cascade 504s into
         // wasted execution for everything queued behind it.
@@ -1403,7 +1380,9 @@ fn worker_loop(state: &State, worker: usize) {
             Response::Characterize(r) => r.latency_us = latency_us,
             _ => {}
         }
-        if matches!(response, Response::Error { .. }) {
+        // A 4xx means the job ran and answered a client error; only a
+        // server-side failure (500, 503, 504) counts as a failed job.
+        if matches!(response, Response::Error { code, .. } if code >= 500) {
             state.counters.inc_jobs_failed();
         } else {
             state.counters.inc_jobs_executed();

@@ -1,7 +1,7 @@
-//! Event-loop front-end tests (ISSUE 7): queue-shard fairness under a
+//! Event-loop front-end tests: run-queue fairness under a
 //! multi-connection pipelined load, arrival-order independence of results
-//! across shard counts (the PR 3 determinism contract extended to the
-//! sharded queue), and pipelined response ordering.
+//! across worker counts (the determinism contract extended to the run
+//! queue), and pipelined response ordering.
 
 use invmeas_service::{
     CacheOutcome, Client, PolicyKind, Request, Response, Server, ServerConfig, SubmitRequest,
@@ -44,18 +44,17 @@ fn submit_req(seed: u64, deadline_ms: Option<u64>) -> Request {
 }
 
 /// `conns` pipelined clients, each sending `per_conn` deadline-carrying
-/// submits, against a server with the given shard count. Returns every
+/// submits, against a server with the given worker count. Returns every
 /// submit response, normalized for scheduling noise (latency zeroed, the
 /// single racy Miss/Hit outcome canonicalized), re-serialized and sorted.
 fn run_load(
-    shards: usize,
+    workers: usize,
     conns: usize,
     per_conn: usize,
 ) -> (Vec<String>, qmetrics::CountersSnapshot) {
     let (addr, handle) = start(ServerConfig {
-        workers: 4,
+        workers,
         queue_capacity: 256,
-        queue_shards: shards,
         profile_shots: 64,
         ..ServerConfig::default()
     });
@@ -66,9 +65,9 @@ fn run_load(
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
                     // Every connection sends its whole batch before reading
-                    // anything: the shards absorb the burst, the workers
-                    // steal across them, and the generous deadline proves
-                    // nobody starved.
+                    // anything: the queue absorbs the burst, the workers
+                    // drain it, and the generous deadline proves nobody
+                    // starved.
                     let requests: Vec<Request> = (0..per_conn)
                         .map(|i| submit_req(1000 + (c * per_conn + i) as u64, Some(60_000)))
                         .collect();
@@ -102,15 +101,16 @@ fn run_load(
 }
 
 #[test]
-fn sharded_queue_starves_no_connection_and_results_are_shard_count_independent() {
+fn run_queue_starves_no_connection_and_results_are_worker_count_independent() {
     const CONNS: usize = 8;
     const PER_CONN: usize = 6;
 
-    let (four_shards, counters) = run_load(4, CONNS, PER_CONN);
+    let (four_workers, counters) = run_load(4, CONNS, PER_CONN);
     // Fairness: every pipelined submit on every connection completed
-    // inside its (generous) deadline — no 503, no 504, no starved shard.
-    assert_eq!(four_shards.len(), CONNS * PER_CONN);
-    assert_eq!(counters.deadline_expirations, 0, "a shard starved");
+    // inside its (generous) deadline — no 503, no 504, no starved
+    // connection.
+    assert_eq!(four_workers.len(), CONNS * PER_CONN);
+    assert_eq!(counters.deadline_expirations, 0, "a connection starved");
     assert_eq!(counters.busy_rejections, 0);
     assert_eq!(counters.jobs_executed as usize, CONNS * PER_CONN);
     assert_eq!(counters.jobs_failed, 0);
@@ -122,10 +122,13 @@ fn sharded_queue_starves_no_connection_and_results_are_shard_count_independent()
     assert_eq!(counters.cache_hits as usize, CONNS * PER_CONN - 1);
     assert!(counters.frames_parsed >= (CONNS * PER_CONN) as u64);
 
-    // Arrival-order independence across shard counts: identical workload,
-    // 1 shard vs 4 shards, byte-identical normalized responses.
-    let (one_shard, _) = run_load(1, CONNS, PER_CONN);
-    assert_eq!(one_shard, four_shards, "results depend on shard count");
+    // Arrival-order independence across worker counts: identical
+    // workload, 1 worker vs 4 workers, byte-identical normalized
+    // responses.
+    let (one_worker, counters) = run_load(1, CONNS, PER_CONN);
+    assert_eq!(counters.deadline_expirations, 0, "a connection starved");
+    assert_eq!(counters.busy_rejections, 0);
+    assert_eq!(one_worker, four_workers, "results depend on worker count");
 }
 
 #[test]

@@ -345,7 +345,10 @@ fn over_wide_esct_characterization_is_a_bad_request() {
         }
         other => panic!("wrong response {other:?}"),
     }
-    shutdown(addr, handle);
+    // The job ran and answered a client error: executed, not failed.
+    let counters = shutdown(addr, handle);
+    assert_eq!(counters.jobs_failed, 0);
+    assert_eq!(counters.jobs_executed, 1);
 }
 
 /// One line of 200 000 `[` used to overflow the event-loop thread's stack
