@@ -5,12 +5,17 @@
 //! work: readout-only 5-qubit brute-force characterization at 8192
 //! shots/state, per-shot vs synthesized. Set `CRITERION_JSON=<path>` to
 //! record the timings (see `BENCH_sampler.json` at the repo root).
+//!
+//! The `gate_noise` group times one gate-noise run of each job kind the
+//! end-to-end workloads send (`cargo bench -p qbenches --bench sampler --
+//! gate_noise`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use invmeas::RbmsTable;
 use qbenches::bench_rng;
 use qnoise::{DeviceModel, Executor, NoisyExecutor};
-use qsim::{Circuit, StateVector};
+use qsim::{BitString, Circuit, StateVector};
+use qworkloads::{BernsteinVazirani, Graph, Qaoa};
 
 const SHOTS_PER_STATE: u64 = 8_192;
 
@@ -85,10 +90,53 @@ fn bench_shot_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// One full-noise run (gate faults plus readout) per job kind:
+///
+/// * `bv5_1024` — 5-qubit BV (4-bit key plus ancilla), 1024 shots on
+///   `ibmqx2`, the warm job of the `drift-churn` workload;
+/// * `bv13_160` — BV-13 plus ancilla, weight-7 key, 160 shots on
+///   `ibmq-melbourne`;
+/// * `qaoa14_40` — QAOA ring-14 p=2 with an inversion layer, 40 shots on
+///   `ibmq-melbourne`. Almost none of its faults can be pushed to the
+///   readout as a Pauli frame, so this case tracks the re-simulation path.
+fn bench_gate_noise(c: &mut Criterion) {
+    let qx2 = NoisyExecutor::from_device(&DeviceModel::ibmqx2());
+    let melbourne = NoisyExecutor::from_device(&DeviceModel::ibmq_melbourne());
+    let bv5 = BernsteinVazirani::with_ancilla("1011".parse().unwrap());
+    let bv13 = BernsteinVazirani::with_ancilla("1011001100101".parse().unwrap());
+    // A ring's QAOA angles depend only on the radius-p neighbourhood of an
+    // edge, so angles trained on the 6-ring serve the 14-ring.
+    let trained = Qaoa::optimized(Graph::ring(6), 2);
+    let qaoa14 = Qaoa::new(
+        Graph::ring(14),
+        trained.gammas().to_vec(),
+        trained.betas().to_vec(),
+    )
+    .circuit()
+    .with_premeasure_inversion(BitString::from_value(0b10_1101_0011_0110, 14));
+    let cases: [(&str, &NoisyExecutor, &Circuit, u64); 3] = [
+        ("bv5_1024", &qx2, bv5.circuit(), 1024),
+        ("bv13_160", &melbourne, bv13.circuit(), 160),
+        ("qaoa14_40", &melbourne, &qaoa14, 40),
+    ];
+
+    let mut group = c.benchmark_group("gate_noise");
+    group.sample_size(10);
+    for (name, exec, circuit, shots) in cases {
+        group.throughput(Throughput::Elements(shots));
+        group.bench_function(name, |b| {
+            let mut rng = bench_rng();
+            b.iter(|| exec.run(circuit, shots, &mut rng))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_brute_force_paths,
     bench_sampling_paths,
-    bench_shot_scaling
+    bench_shot_scaling,
+    bench_gate_noise
 );
 criterion_main!(benches);

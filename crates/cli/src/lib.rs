@@ -751,6 +751,35 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The `rbms v2` bytes of `invmeas characterize --device ibmqx2
+    /// --method brute --shots 2000 --seed 7`, pinned. Gate noise is on in
+    /// this path, so the pin covers fault sampling and trajectory
+    /// resolution as well as readout sampling and the file format.
+    #[test]
+    fn brute_profile_output_is_pinned() {
+        let dir = std::env::temp_dir().join("invmeas-cli-golden-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("qx2.rbms");
+        execute(&Command::Characterize(CharacterizeArgs {
+            device: "ibmqx2".into(),
+            method: CharMethod::Brute,
+            shots: 2000,
+            out: Some(out.to_string_lossy().into_owned()),
+            seed: 7,
+            threads: Some(2),
+            journal: None,
+            fault_plan: None,
+        }))
+        .unwrap();
+        let written = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(
+            written,
+            include_str!("../testdata/ibmqx2-brute-2000-seed7.rbms")
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn journal_does_not_change_the_written_profile() {
         let dir = std::env::temp_dir().join("invmeas-cli-journal-parity-test");

@@ -6,7 +6,11 @@
 //! error sources the paper distinguishes:
 //!
 //! * **gate errors** — Monte-Carlo Pauli trajectories sampled per group of
-//!   shots ([`GateNoise`]);
+//!   shots ([`GateNoise`]). Each trajectory is a sampled fault list. When
+//!   every fault can be pushed to the readout as a Pauli frame
+//!   ([`PauliFrame::propagate`]), the trajectory's shots are drawn from the
+//!   ideal state's alias table and XORed with the frame's X mask. Only the
+//!   other trajectories re-simulate their faulted circuit;
 //! * **measurement errors** — every sampled outcome is pushed through the
 //!   device's readout channel ([`ReadoutModel`]).
 //!
@@ -55,7 +59,7 @@
 
 use crate::correlated::CorrelatedReadout;
 use crate::device::DeviceModel;
-use crate::gate_noise::GateNoise;
+use crate::gate_noise::{faulted_circuit, GateNoise, PauliFrame};
 use crate::readout::ReadoutModel;
 use invmeas_faults::{Fault, FaultInjector, FaultSite, NoFaults};
 use qsim::{BitString, Circuit, Counts, Distribution, Gate, StateVector};
@@ -217,9 +221,11 @@ pub struct NoisyExecutor {
 impl NoisyExecutor {
     /// Default cap on distinct gate-fault trajectories per `run` call.
     ///
-    /// Shots beyond the cap are distributed across trajectories; this bounds
-    /// simulation cost for large registers while keeping per-shot readout
-    /// noise independent.
+    /// Shots beyond the cap are distributed across trajectories, while
+    /// per-shot readout noise stays independent. Trajectories resolved as
+    /// a Pauli frame cost only their fault draws, so the cap bounds those
+    /// draws and the number of fallback re-simulations (trajectories with
+    /// a fault no frame can carry to the readout).
     pub const DEFAULT_MAX_TRAJECTORIES: u64 = 4096;
 
     /// Creates an executor from explicit noise components.
@@ -439,10 +445,12 @@ impl NoisyExecutor {
     }
 
     /// Per-shot sampling + readout corruption from a fixed state, densely
-    /// accumulated.
+    /// accumulated. Each sampled outcome is XORed with `flip` (a Pauli
+    /// frame's X mask) before readout.
     fn corrupt_shots_dense(
         &self,
         sampler: &qsim::AliasSampler,
+        flip: usize,
         shots: u64,
         dense: &mut [u64],
         counts: &mut Counts,
@@ -450,7 +458,7 @@ impl NoisyExecutor {
     ) {
         let n = self.n_qubits();
         for _ in 0..shots {
-            let ideal = BitString::from_value(sampler.sample(rng) as u64, n);
+            let ideal = BitString::from_value((sampler.sample(rng) ^ flip) as u64, n);
             let observed = self.readout.corrupt(ideal, rng);
             if n <= MAX_DENSE_WIDTH {
                 dense[observed.index()] += 1;
@@ -469,7 +477,9 @@ impl NoisyExecutor {
     /// `born` skips circuit evolution entirely and the result is bitwise
     /// identical to the unmemoized path (which derives the same vector via
     /// [`StateVector::born_probabilities`]). With gate noise on, `born` is
-    /// ignored and full Monte-Carlo trajectory simulation runs.
+    /// ignored and Monte-Carlo trajectories run: one fault list per
+    /// trajectory, resolved as a Pauli frame on the ideal state where one
+    /// exists and by simulating the faulted circuit otherwise.
     fn run_with_born(
         &self,
         circuit: &Circuit,
@@ -506,7 +516,7 @@ impl NoisyExecutor {
             let sampler = qsim::AliasSampler::new(born);
             let mut dense = vec![0u64; if n <= MAX_DENSE_WIDTH { 1usize << n } else { 0 }];
             let mut counts = Counts::new(n);
-            self.corrupt_shots_dense(&sampler, shots, &mut dense, &mut counts, rng);
+            self.corrupt_shots_dense(&sampler, 0, shots, &mut dense, &mut counts, rng);
             return if n <= MAX_DENSE_WIDTH {
                 Counts::from_dense(n, &dense)
             } else {
@@ -524,21 +534,32 @@ impl NoisyExecutor {
         // The alias table owns its weights; the amplitude buffer can go
         // back to the arena for the trajectory states to reuse.
         ideal_psi.recycle();
+        let sites = self.gate_noise.fault_sites(circuit);
+        let mut faults = Vec::new();
         let mut dense = vec![0u64; if n <= MAX_DENSE_WIDTH { 1usize << n } else { 0 }];
         let mut counts = Counts::new(n);
         for t in 0..n_traj {
             let traj_shots = base + u64::from(t < extra);
-            let (traj_circuit, faults) = self.gate_noise.sample_trajectory(circuit, rng);
-            let sampler;
-            let active = if faults == 0 {
-                &ideal_sampler
+            sites.sample_faults(rng, &mut faults);
+            // A frame (the fault-free trajectory is the empty one) relabels
+            // the ideal distribution by its X mask; the shots make the same
+            // draws either way, so a basis-state output logs the same bits
+            // as re-simulating would.
+            if let Some(frame) = PauliFrame::propagate(circuit, &faults) {
+                self.corrupt_shots_dense(
+                    &ideal_sampler,
+                    frame.x,
+                    traj_shots,
+                    &mut dense,
+                    &mut counts,
+                    rng,
+                );
             } else {
-                let traj_psi = StateVector::from_circuit(&traj_circuit);
-                sampler = traj_psi.sampler();
+                let traj_psi = StateVector::from_circuit(&faulted_circuit(circuit, &faults));
+                let sampler = traj_psi.sampler();
                 traj_psi.recycle();
-                &sampler
-            };
-            self.corrupt_shots_dense(active, traj_shots, &mut dense, &mut counts, rng);
+                self.corrupt_shots_dense(&sampler, 0, traj_shots, &mut dense, &mut counts, rng);
+            }
         }
         if n <= MAX_DENSE_WIDTH {
             Counts::from_dense(n, &dense)

@@ -3,9 +3,25 @@
 //! Every gate on NISQ hardware is imperfect: single-qubit gates err at
 //! 0.1–0.3 %, two-qubit gates at 2–5 % (paper §2.3). The standard stochastic
 //! model inserts a uniformly random non-identity Pauli on the gate's qubits
-//! with the gate's error probability. Sampling one such "fault pattern" per
-//! trajectory and simulating the faulted circuit reproduces the NISQ trial
-//! model shot by shot.
+//! with the gate's error probability. One trajectory is one sampled *fault
+//! list* ([`FaultSites::sample_faults`]): which gates erred, and which Pauli
+//! each inserted.
+//!
+//! A fault list is resolved in one of two ways:
+//!
+//! * **As a Pauli frame** ([`PauliFrame::propagate`]). Each fault is pushed
+//!   through the rest of the circuit as a pair of bit masks `(x, z)`.
+//!   Clifford gates (X, Y, Z, H, S, S†, CX, CZ, SWAP) map a Pauli to a
+//!   Pauli, and a gate the frame commutes with passes it unchanged. If every
+//!   gate after the first fault is one of these, the faulted circuit equals
+//!   the ideal circuit followed by the frame `X^x Z^z` (up to a global
+//!   phase). At measurement the `Z` part only changes phases and the `X`
+//!   part permutes basis states, so the faulted Born distribution is the
+//!   ideal one relabeled by `i → i ^ x`: the trajectory needs no
+//!   simulation, only the ideal outcome XOR `x`.
+//! * **By simulation** ([`faulted_circuit`]), when some later gate neither
+//!   maps the frame to a Pauli nor commutes with it (an X fault before an
+//!   Rz, say).
 
 use qsim::{Circuit, Gate};
 use rand::{Rng, RngCore};
@@ -118,50 +134,224 @@ impl GateNoise {
             .product()
     }
 
+    /// Resolves `circuit`'s fault sites: one error rate per gate, looked up
+    /// once so that per-trajectory sampling does no table lookups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate references a qubit outside the model.
+    pub fn fault_sites<'c>(&self, circuit: &'c Circuit) -> FaultSites<'c> {
+        FaultSites {
+            circuit,
+            rates: circuit.gates().iter().map(|g| self.gate_error(g)).collect(),
+        }
+    }
+
     /// Samples a faulted copy of `circuit`: after each gate, with the gate's
     /// error probability, a uniformly random non-identity Pauli is inserted
-    /// on the gate's qubit(s).
+    /// on the gate's qubit(s). This is [`FaultSites::sample_faults`]
+    /// followed by [`faulted_circuit`], and makes the same draws.
     ///
     /// Returns the trajectory circuit and the number of faults inserted.
     /// With zero faults the returned circuit equals the input.
     pub fn sample_trajectory(&self, circuit: &Circuit, rng: &mut dyn RngCore) -> (Circuit, usize) {
-        let mut out = Circuit::new(circuit.n_qubits());
-        let mut faults = 0;
-        for g in circuit.gates() {
-            out.push(*g);
-            let p = self.gate_error(g);
+        let mut faults = Vec::new();
+        self.fault_sites(circuit).sample_faults(rng, &mut faults);
+        (faulted_circuit(circuit, &faults), faults.len())
+    }
+}
+
+/// One sampled gate fault: the Pauli inserted right after gate `gate`.
+///
+/// Paulis are coded `0 = I`, `1 = X`, `2 = Y`, `3 = Z`. `a` acts on the
+/// gate's first qubit (the control of a CX or CZ) and `b` on its second;
+/// `b` is always `I` for a single-qubit gate, and `(a, b)` is never
+/// `(I, I)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PauliFault {
+    /// Index of the erring gate in its circuit.
+    pub gate: usize,
+    /// The Pauli on the gate's first qubit.
+    pub a: u8,
+    /// The Pauli on the gate's second qubit.
+    pub b: u8,
+}
+
+/// A circuit together with the error rate of each of its gates — built
+/// once per run by [`GateNoise::fault_sites`], then sampled once per
+/// trajectory.
+#[derive(Debug, Clone)]
+pub struct FaultSites<'c> {
+    circuit: &'c Circuit,
+    rates: Vec<f64>,
+}
+
+impl FaultSites<'_> {
+    /// Samples one trajectory's faults into `faults` (cleared first), in
+    /// gate order: after each gate, with the gate's error probability, a
+    /// uniformly random non-identity Pauli on the gate's qubit(s).
+    ///
+    /// This is the only routine that draws gate faults. Per gate with a
+    /// non-zero rate it draws one uniform `f64`; per fault it draws one
+    /// Pauli index (1 of 3 for a single-qubit gate, 1 of 15 for a two-qubit
+    /// gate).
+    pub fn sample_faults(&self, rng: &mut dyn RngCore, faults: &mut Vec<PauliFault>) {
+        faults.clear();
+        for (gate, (g, &p)) in self.circuit.gates().iter().zip(&self.rates).enumerate() {
             if p > 0.0 && rng.gen::<f64>() < p {
-                faults += 1;
-                let qs = g.qubits();
-                if qs.len() == 1 {
-                    out.push(random_pauli(qs[0], rng));
-                } else {
+                let (a, b) = if g.is_two_qubit() {
                     // Uniform over the 15 non-identity two-qubit Paulis:
                     // pick (P_a, P_b) from {I,X,Y,Z}² minus (I,I).
                     let k = rng.gen_range(1..16u8);
-                    let (pa, pb) = (k & 0b11, (k >> 2) & 0b11);
-                    if let Some(g) = pauli_from_code(pa, qs[0]) {
-                        out.push(g);
-                    }
-                    if let Some(g) = pauli_from_code(pb, qs[1]) {
-                        out.push(g);
-                    }
+                    (k & 0b11, (k >> 2) & 0b11)
+                } else {
+                    (rng.gen_range(0..3u8) + 1, 0)
+                };
+                faults.push(PauliFault { gate, a, b });
+            }
+        }
+    }
+}
+
+/// Builds the trajectory circuit of a fault list: `circuit` with each
+/// fault's Paulis inserted right after its gate.
+///
+/// # Panics
+///
+/// Panics if `faults` is not sorted by gate index or names a gate outside
+/// `circuit`.
+pub fn faulted_circuit(circuit: &Circuit, faults: &[PauliFault]) -> Circuit {
+    let mut out = Circuit::new(circuit.n_qubits());
+    let mut pending = faults.iter().peekable();
+    for (i, g) in circuit.gates().iter().enumerate() {
+        out.push(*g);
+        while let Some(f) = pending.next_if(|f| f.gate == i) {
+            for (&code, &q) in [f.a, f.b].iter().zip(&g.qubits()) {
+                if let Some(p) = pauli_gate(code, q) {
+                    out.push(p);
                 }
             }
         }
-        (out, faults)
+    }
+    assert!(pending.next().is_none(), "fault list not in gate order");
+    out
+}
+
+/// A Pauli operator `X^x Z^z` (up to phase) on a register, as one bit
+/// per qubit in each of two masks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PauliFrame {
+    /// Qubits whose Pauli has an X part (X or Y): the XOR mask the frame
+    /// applies to a measured outcome.
+    pub x: usize,
+    /// Qubits whose Pauli has a Z part (Z or Y).
+    pub z: usize,
+}
+
+impl PauliFrame {
+    /// Pushes every fault of `faults` (sorted by gate index) to the end of
+    /// `circuit` and returns the frame they leave before measurement, or
+    /// `None` if some gate after the first fault neither maps the frame to
+    /// a Pauli nor commutes with it.
+    ///
+    /// When a frame is returned, the faulted circuit's Born distribution
+    /// is exactly the ideal one under the relabeling `i → i ^ x` (see the
+    /// module docs). Rules, with `q` the gate's qubit:
+    ///
+    /// * X, Y, Z leave the frame unchanged (Paulis commute up to phase);
+    /// * H swaps `x_q` and `z_q`; S and S† set `z_q ^= x_q`;
+    /// * CX sets `x_t ^= x_c` and `z_c ^= z_t`; CZ adds each qubit's `x`
+    ///   to the other's `z`; SWAP swaps the two qubits' bits;
+    /// * T, T†, Rz and Phase pass when `x_q = 0`, Rx when `z_q = 0`, Ry
+    ///   when `x_q = z_q`, and Rzz when `x_a = x_b`; otherwise `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `faults` is not sorted by gate index or names a gate
+    /// outside `circuit`.
+    pub fn propagate(circuit: &Circuit, faults: &[PauliFault]) -> Option<PauliFrame> {
+        let mut frame = PauliFrame::default();
+        let Some(first) = faults.first() else {
+            return Some(frame);
+        };
+        let gates = circuit.gates();
+        let mut pending = faults.iter().peekable();
+        for (i, g) in gates.iter().enumerate().skip(first.gate) {
+            // Gate `i` acts on the faults of earlier gates, then its own
+            // fault joins the frame.
+            frame.conjugate(g)?;
+            while let Some(f) = pending.next_if(|f| f.gate == i) {
+                for (&code, &q) in [f.a, f.b].iter().zip(&g.qubits()) {
+                    frame.inject(code, q);
+                }
+            }
+        }
+        assert!(pending.next().is_none(), "fault list not in gate order");
+        Some(frame)
+    }
+
+    /// Multiplies the Pauli with `code` on qubit `q` into the frame.
+    fn inject(&mut self, code: u8, q: usize) {
+        // X = 1, Y = 2 have an X part; Y = 2, Z = 3 have a Z part.
+        self.x ^= usize::from(code == 1 || code == 2) << q;
+        self.z ^= usize::from(code >= 2) << q;
+    }
+
+    /// Moves the frame past `gate`: `G P = P' G`. Returns `None` if `P'`
+    /// is not a Pauli.
+    fn conjugate(&mut self, gate: &Gate) -> Option<()> {
+        let bit = |m: usize, q: usize| (m >> q) & 1;
+        match *gate {
+            Gate::X(_) | Gate::Y(_) | Gate::Z(_) => {}
+            Gate::H(q) => {
+                let d = bit(self.x ^ self.z, q) << q;
+                self.x ^= d;
+                self.z ^= d;
+            }
+            Gate::S(q) | Gate::Sdg(q) => self.z ^= self.x & (1 << q),
+            Gate::T(q)
+            | Gate::Tdg(q)
+            | Gate::Rz { qubit: q, .. }
+            | Gate::Phase { qubit: q, .. } => {
+                if bit(self.x, q) != 0 {
+                    return None;
+                }
+            }
+            Gate::Rx { qubit: q, .. } => {
+                if bit(self.z, q) != 0 {
+                    return None;
+                }
+            }
+            Gate::Ry { qubit: q, .. } => {
+                if bit(self.x, q) != bit(self.z, q) {
+                    return None;
+                }
+            }
+            Gate::Cx { control, target } => {
+                self.x ^= bit(self.x, control) << target;
+                self.z ^= bit(self.z, target) << control;
+            }
+            Gate::Cz { control, target } => {
+                self.z ^= (bit(self.x, control) << target) | (bit(self.x, target) << control);
+            }
+            Gate::Rzz { a, b, .. } => {
+                if bit(self.x, a) != bit(self.x, b) {
+                    return None;
+                }
+            }
+            Gate::Swap { a, b } => {
+                for m in [&mut self.x, &mut self.z] {
+                    let d = (bit(*m, a) ^ bit(*m, b)) * ((1 << a) | (1 << b));
+                    *m ^= d;
+                }
+            }
+        }
+        Some(())
     }
 }
 
-fn random_pauli(q: usize, rng: &mut dyn RngCore) -> Gate {
-    match rng.gen_range(0..3u8) {
-        0 => Gate::X(q),
-        1 => Gate::Y(q),
-        _ => Gate::Z(q),
-    }
-}
-
-fn pauli_from_code(code: u8, q: usize) -> Option<Gate> {
+/// The gate for Pauli `code` on qubit `q`; `None` for the identity.
+fn pauli_gate(code: u8, q: usize) -> Option<Gate> {
     match code {
         0 => None,
         1 => Some(Gate::X(q)),
@@ -173,6 +363,8 @@ fn pauli_from_code(code: u8, q: usize) -> Option<Gate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsim::c64::C64;
+    use qsim::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -271,6 +463,184 @@ mod tests {
             assert_eq!(faults, 1);
             // With error probability 1 a Pauli must always be appended.
             assert!(traj.len() >= 2, "fault inserted no Pauli");
+        }
+    }
+
+    /// A uniformly random gate of any of the 16 kinds on a `n`-qubit
+    /// register, rotation angles included.
+    fn random_gate(n: usize, rng: &mut StdRng) -> Gate {
+        let q = rng.gen_range(0..n);
+        let mut r = rng.gen_range(0..n - 1);
+        if r >= q {
+            r += 1;
+        }
+        let theta = rng.gen_range(-3.0..3.0f64);
+        match rng.gen_range(0..16u8) {
+            0 => Gate::X(q),
+            1 => Gate::Y(q),
+            2 => Gate::Z(q),
+            3 => Gate::H(q),
+            4 => Gate::S(q),
+            5 => Gate::Sdg(q),
+            6 => Gate::T(q),
+            7 => Gate::Tdg(q),
+            8 => Gate::Rx { qubit: q, theta },
+            9 => Gate::Ry { qubit: q, theta },
+            10 => Gate::Rz { qubit: q, theta },
+            11 => Gate::Phase {
+                qubit: q,
+                lambda: theta,
+            },
+            12 => Gate::Cx {
+                control: q,
+                target: r,
+            },
+            13 => Gate::Cz {
+                control: q,
+                target: r,
+            },
+            14 => Gate::Rzz { a: q, b: r, theta },
+            _ => Gate::Swap { a: q, b: r },
+        }
+    }
+
+    /// Whenever a frame is returned, simulating the faulted circuit gives
+    /// the ideal Born distribution relabeled by the frame's X mask — and,
+    /// so that the Z mask is checked too, the faulted state is
+    /// `X^x Z^z |ideal⟩` up to one global phase.
+    #[test]
+    fn frame_law_is_exact_on_random_circuits() {
+        let mut rng = StdRng::seed_from_u64(0xF2A3);
+        let (mut framed, mut unframed, mut worst) = (0, 0, 0.0f64);
+        let mut kinds_seen = std::collections::HashSet::new();
+        while framed < 1200 {
+            let n = rng.gen_range(2..5usize);
+            let mut c = Circuit::new(n);
+            for _ in 0..rng.gen_range(1..14) {
+                c.push(random_gate(n, &mut rng));
+            }
+            let mut faults = Vec::new();
+            for gate in 0..c.len() {
+                if rng.gen_range(0..4) == 0 {
+                    let two = c.gates()[gate].is_two_qubit();
+                    let (a, b) = if two {
+                        let k = rng.gen_range(1..16u8);
+                        (k & 0b11, k >> 2)
+                    } else {
+                        (rng.gen_range(1..4u8), 0)
+                    };
+                    faults.push(PauliFault { gate, a, b });
+                }
+            }
+            let Some(frame) = PauliFrame::propagate(&c, &faults) else {
+                unframed += 1;
+                continue;
+            };
+            framed += 1;
+            kinds_seen.extend(c.gates().iter().map(|g| g.name()));
+            let ideal = StateVector::from_circuit(&c);
+            let faulted = StateVector::from_circuit(&faulted_circuit(&c, &faults));
+            let relabeled = ideal.probabilities_xor(frame.x, 1);
+            for (i, (p, q)) in relabeled.iter().zip(&faulted.probabilities()).enumerate() {
+                worst = worst.max((p - q).abs());
+                assert!(
+                    (p - q).abs() < 1e-12,
+                    "{c:?} faults {faults:?}: P({i}) {q} vs relabeled {p}"
+                );
+            }
+            // (X^x Z^z ψ)[i] = (−1)^{|(i ^ x) & z|} ψ[i ^ x].
+            let framed_amps: Vec<C64> = (0..1usize << n)
+                .map(|i| {
+                    let a = ideal.amplitudes()[i ^ frame.x];
+                    if ((i ^ frame.x) & frame.z).count_ones() % 2 == 1 {
+                        -a
+                    } else {
+                        a
+                    }
+                })
+                .collect();
+            let k = (0..framed_amps.len())
+                .max_by(|&i, &j| {
+                    framed_amps[i]
+                        .norm_sqr()
+                        .total_cmp(&framed_amps[j].norm_sqr())
+                })
+                .unwrap();
+            let phase = faulted.amplitudes()[k] / framed_amps[k];
+            for (i, (&f, &e)) in faulted.amplitudes().iter().zip(&framed_amps).enumerate() {
+                worst = worst.max((f - phase * e).abs());
+                assert!(
+                    (f - phase * e).abs() < 1e-12,
+                    "{c:?} faults {faults:?} frame {frame:?}: amplitude {i} {f} vs {}",
+                    phase * e
+                );
+            }
+        }
+        assert!(unframed > 100, "the fallback must be exercised too");
+        assert_eq!(kinds_seen.len(), 16, "{kinds_seen:?}");
+        assert!(worst < 1e-12, "worst deviation {worst}");
+    }
+
+    #[test]
+    fn frame_is_refused_where_the_fault_does_not_commute() {
+        let mut c = Circuit::new(1);
+        c.x(0).rz(0, 0.4);
+        let x_fault = [PauliFault {
+            gate: 0,
+            a: 1,
+            b: 0,
+        }];
+        assert_eq!(PauliFrame::propagate(&c, &x_fault), None);
+        let mut c = Circuit::new(1);
+        c.h(0).rx(0, 0.4);
+        let z_fault = [PauliFault {
+            gate: 0,
+            a: 3,
+            b: 0,
+        }];
+        assert_eq!(PauliFrame::propagate(&c, &z_fault), None);
+        // The same faults after the rotation reach the readout.
+        let mut c = Circuit::new(1);
+        c.rz(0, 0.4).x(0);
+        assert_eq!(
+            PauliFrame::propagate(&c, &x_fault),
+            Some(PauliFrame { x: 1, z: 0 })
+        );
+    }
+
+    #[test]
+    fn frame_follows_clifford_conjugation() {
+        // Z on the control of a CX is untouched by the CX; an X on the
+        // control spreads to the target; H then turns that target X into Z.
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1).h(1);
+        let fault = |a| [PauliFault { gate: 0, a, b: 0 }];
+        assert_eq!(
+            PauliFrame::propagate(&c, &fault(3)),
+            Some(PauliFrame { x: 0, z: 0b01 })
+        );
+        assert_eq!(
+            PauliFrame::propagate(&c, &fault(1)),
+            Some(PauliFrame { x: 0b01, z: 0b10 })
+        );
+        // No faults: the identity frame.
+        assert_eq!(PauliFrame::propagate(&c, &[]), Some(PauliFrame::default()));
+    }
+
+    #[test]
+    fn sampled_faults_build_the_sampled_trajectory() {
+        let n = GateNoise::uniform(3, 0.2, 0.4);
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).rz(1, 0.3).swap(1, 2).h(2);
+        let sites = n.fault_sites(&c);
+        let mut faults = Vec::new();
+        for seed in 0..200 {
+            let (traj, count) = n.sample_trajectory(&c, &mut StdRng::seed_from_u64(seed));
+            sites.sample_faults(&mut StdRng::seed_from_u64(seed), &mut faults);
+            assert_eq!(count, faults.len());
+            assert_eq!(traj, faulted_circuit(&c, &faults));
+            assert!(faults.windows(2).all(|w| w[0].gate < w[1].gate));
+            assert!(faults.iter().all(|f| (f.a, f.b) != (0, 0)));
         }
     }
 

@@ -8,7 +8,8 @@
 //!   error) and [`CorrelatedReadout`] (plus excited-neighbour crosstalk);
 //! * [`FlipPair::with_t1_decay`] — relaxation during the measurement window,
 //!   the physical origin of the paper's Hamming-weight bias;
-//! * [`GateNoise`] — depolarizing gate errors via Pauli trajectories;
+//! * [`GateNoise`] — depolarizing gate errors via Pauli trajectories, each
+//!   resolved as a [`PauliFrame`] where the circuit allows;
 //! * [`DeviceModel`] — calibrated models of ibmqx2, ibmqx4, and
 //!   ibmq-melbourne matching the paper's Table 1 and bias figures;
 //! * [`Executor`] / [`NoisyExecutor`] — the repeated-trial NISQ execution
@@ -49,6 +50,6 @@ pub use correlated::{CorrelatedReadout, Crosstalk};
 pub use device::{DeviceModel, QubitSpec};
 pub use drift::{drift_score, CalibrationDrift};
 pub use executor::{Executor, IdealExecutor, NoisyExecutor};
-pub use gate_noise::GateNoise;
+pub use gate_noise::{faulted_circuit, FaultSites, GateNoise, PauliFault, PauliFrame};
 pub use readout::{FlipPair, IdealReadout, ReadoutModel};
 pub use tensor::TensorReadout;

@@ -542,6 +542,11 @@ fn fully_partitioned_ladder_costs_bounded_dials_per_request() {
         1,
         0,
     ));
+    // A heartbeat period far longer than the request loop: the survivor
+    // probes once at start (one miss, under the limit of 2) and never
+    // declares the owner dead while the loop runs. A dead owner is no
+    // forward candidate, so its requests would skip the dial gate this
+    // test measures.
     let nodes: Vec<(SocketAddr, ServeHandle)> = (0..2)
         .map(|i| {
             start(chaos_node(
@@ -551,7 +556,7 @@ fn fully_partitioned_ladder_costs_bounded_dials_per_request() {
                 Arc::new(invmeas_faults::NoFaults),
                 &plan,
                 2,
-                50,
+                60_000,
             ))
         })
         .collect();
