@@ -17,15 +17,7 @@
 //!               [--rate HZ] [--pipeline K] [--shots N]
 //!               [--ladder-max N] [--storm-rate HZ] [--slo-ms N]
 //!               [--degraded-requests N]
-//!               [--cluster HOST:PORT,HOST:PORT,...]
 //! ```
-//!
-//! With `--cluster`, the benchmark targets an externally running profile
-//! mesh instead of spawning child servers: it resolves the benchmark
-//! device's serving node via the `cluster-map` op (client-side routing,
-//! DESIGN.md §16), aims the load phase at it, and fails if any request
-//! hits a transport error — the mesh must absorb the load without a
-//! single dropped response.
 
 use invmeas_service::{Json, Request, Response};
 use qbenches::loadgen::{self, LoadConfig, Mix, Percentiles, StormConfig};
@@ -49,7 +41,6 @@ struct Opts {
     storm_rate_hz: f64,
     slo_ms: u64,
     degraded_requests: usize,
-    cluster: Vec<SocketAddr>,
 }
 
 impl Default for Opts {
@@ -65,7 +56,6 @@ impl Default for Opts {
             storm_rate_hz: 4000.0,
             slo_ms: 1000,
             degraded_requests: 2000,
-            cluster: Vec::new(),
         }
     }
 }
@@ -86,20 +76,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--storm-rate" => o.storm_rate_hz = numf(flag, val()?)?,
             "--slo-ms" => o.slo_ms = num(flag, val()?)? as u64,
             "--degraded-requests" => o.degraded_requests = num(flag, val()?)?,
-            "--cluster" => {
-                o.cluster = val()?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|e| format!("bad --cluster address {s:?}: {e}"))
-                    })
-                    .collect::<Result<Vec<SocketAddr>, String>>()?;
-                if o.cluster.is_empty() {
-                    return Err("--cluster needs at least one HOST:PORT seed".into());
-                }
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -546,89 +522,7 @@ fn main() {
     }
 }
 
-/// The `--cluster` mode: aim the load phase at an already-running mesh,
-/// routed client-side to the node serving the benchmark device. Fails on
-/// any transport error — forwarding and failover must stay invisible to
-/// clients.
-fn run_cluster(opts: &Opts) -> Result<(), String> {
-    let target = loadgen::resolve_cluster_route(&opts.cluster, "ibmqx4")?;
-    eprintln!(
-        "bench-service: cluster mode, ibmqx4 served by {target} ({} seeds)",
-        opts.cluster.len()
-    );
-    let report = loadgen::run_load(&LoadConfig {
-        addr: target,
-        connections: opts.connections,
-        requests: opts.requests,
-        rate_hz: opts.rate_hz,
-        pipeline: opts.pipeline,
-        seed: 2019,
-        mix: Mix::default(),
-        shots: opts.shots,
-    })?;
-    let counters = status_counters(target)?;
-    eprintln!(
-        "  {:.0} submits/s, p99 {:.1} ms, {} protocol errors, {} forwards, {} failovers",
-        report.submits_per_sec,
-        report.latency.p99_us as f64 / 1000.0,
-        report.protocol_errors,
-        counters.forwards,
-        counters.failovers,
-    );
-    let doc = Json::obj(vec![
-        ("schema", Json::str("bench-service-cluster v1")),
-        (
-            "config",
-            Json::obj(vec![
-                (
-                    "seeds",
-                    Json::Arr(
-                        opts.cluster
-                            .iter()
-                            .map(|a| Json::str(a.to_string()))
-                            .collect(),
-                    ),
-                ),
-                ("target", Json::str(target.to_string())),
-                ("connections", Json::int(opts.connections as u64)),
-                ("requests", Json::int(opts.requests as u64)),
-                ("rate_hz", Json::Num(opts.rate_hz)),
-            ]),
-        ),
-        ("sent", Json::int(report.sent)),
-        ("ok", Json::int(report.ok)),
-        ("rejected", Json::int(report.rejected)),
-        ("protocol_errors", Json::int(report.protocol_errors)),
-        ("submits_per_sec", Json::Num(round2(report.submits_per_sec))),
-        ("latency", pct_json(&report.latency)),
-        (
-            "mesh_counters",
-            Json::obj(vec![
-                ("forwards", Json::int(counters.forwards)),
-                ("replication_writes", Json::int(counters.replication_writes)),
-                ("failovers", Json::int(counters.failovers)),
-                ("heartbeats_missed", Json::int(counters.heartbeats_missed)),
-                ("stale_map_retries", Json::int(counters.stale_map_retries)),
-            ]),
-        ),
-    ]);
-    let mut text = doc.to_string();
-    text.push('\n');
-    std::fs::write(&opts.out, &text).map_err(|e| format!("write {}: {e}", opts.out))?;
-    println!("{text}");
-    if report.protocol_errors > 0 {
-        return Err(format!(
-            "{} protocol errors against the mesh",
-            report.protocol_errors
-        ));
-    }
-    Ok(())
-}
-
 fn run(opts: &Opts) -> Result<(), String> {
-    if !opts.cluster.is_empty() {
-        return run_cluster(opts);
-    }
     // Raised limits are inherited by the __serve children, so one call
     // covers client and servers alike. The ladder is clamped to what the
     // fd budget can actually park.
@@ -636,7 +530,6 @@ fn run(opts: &Opts) -> Result<(), String> {
         invmeas_service::poll::raise_nofile_limit(300_000).unwrap_or((1024, 1024));
     let mut opts = Opts {
         out: opts.out.clone(),
-        cluster: Vec::new(),
         ..*opts
     };
     let fd_ceiling = (nofile_soft.saturating_sub(2048) as usize).max(256);

@@ -129,51 +129,6 @@ pub struct LoadReport {
     pub latency: Percentiles,
 }
 
-/// Resolves which mesh node serves `device` right now: asks the first
-/// reachable seed for the cluster map with the device's route and returns
-/// the first *alive* ladder node (owner, else a promoted follower), which
-/// is exactly the client-side routing a cluster-aware load generator
-/// needs — submits go straight to the serving node instead of paying a
-/// forwarding hop (DESIGN.md §16).
-pub fn resolve_cluster_route(seeds: &[SocketAddr], device: &str) -> Result<SocketAddr, String> {
-    let mut last_err = String::from("no seeds given");
-    for seed in seeds {
-        let map = Client::connect(*seed)
-            .and_then(|mut c| {
-                c.request(&Request::ClusterMap {
-                    device: Some(device.to_string()),
-                })
-            })
-            .map_err(|e| format!("cluster-map via {seed}: {e}"));
-        let m = match map {
-            Ok(Response::ClusterMap(m)) => m,
-            Ok(other) => {
-                last_err = format!("cluster-map via {seed}: unexpected reply {other:?}");
-                continue;
-            }
-            Err(e) => {
-                last_err = e;
-                continue;
-            }
-        };
-        let Some(route) = &m.route else {
-            last_err = format!("cluster-map via {seed}: no route in reply");
-            continue;
-        };
-        let ladder = std::iter::once(route.owner).chain(route.followers.iter().copied());
-        for i in ladder {
-            let i = i as usize;
-            if m.alive.get(i).copied().unwrap_or(false) {
-                return m.members[i]
-                    .parse()
-                    .map_err(|e| format!("bad member address {:?}: {e}", m.members[i]));
-            }
-        }
-        last_err = format!("whole ladder for {device} is dead as seen from {seed}");
-    }
-    Err(last_err)
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;

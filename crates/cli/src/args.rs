@@ -4,12 +4,13 @@
 //! policy; the grammar is small enough that explicit parsing is clearer
 //! than a derive anyway.
 
-use invmeas::CharMethod;
+use invmeas::{CharMethod, PolicyChoice};
 use invmeas_service::{ClusterConfig, ServerConfig};
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed CLI invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Command {
     /// List the built-in device models.
     Devices,
@@ -23,24 +24,24 @@ pub enum Command {
     /// Run a QASM program under a policy.
     Run(RunArgs),
     /// Start the long-running mitigation server.
-    Serve(ServeArgs),
+    Serve {
+        /// The server configuration with every flag applied. A
+        /// `--cluster` member list is checked against `addr` when the
+        /// server starts.
+        config: ServerConfig,
+        /// Optional `faultplan v1` script for chaos testing.
+        fault_plan: Option<String>,
+        /// Optional `netfaults v1` script driving the network fault
+        /// fabric (partitions, byte drops, latency, slow writes) for chaos
+        /// testing.
+        net_faults: Option<String>,
+    },
     /// Submit a QASM program to a running server.
     Submit(SubmitArgs),
     /// Control-plane calls against a running server.
     Svc(SvcArgs),
     /// Print usage.
     Help,
-}
-
-/// Which measurement policy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Standard measurement.
-    Baseline,
-    /// Static Invert-and-Measure (four strings).
-    Sim,
-    /// Adaptive Invert-and-Measure.
-    Aim,
 }
 
 /// Arguments to `characterize`.
@@ -73,7 +74,7 @@ pub struct RunArgs {
     /// Device name.
     pub device: String,
     /// Policy.
-    pub policy: Policy,
+    pub policy: PolicyChoice,
     /// Trial budget.
     pub shots: u64,
     /// Expected correct output (enables metrics).
@@ -88,53 +89,6 @@ pub struct RunArgs {
     pub threads: Option<usize>,
 }
 
-/// Arguments to `serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeArgs {
-    /// Bind address (`HOST:PORT`; port 0 picks an ephemeral port).
-    pub addr: String,
-    /// Worker-pool size.
-    pub workers: usize,
-    /// Bounded job-queue capacity.
-    pub queue: usize,
-    /// Executor threads per job.
-    pub exec_threads: usize,
-    /// Default characterization budget.
-    pub profile_shots: u64,
-    /// Characterization RNG seed.
-    pub profile_seed: u64,
-    /// Per-window calibration-drift amplitude.
-    pub drift_amplitude: f64,
-    /// Profile-cache drift-score invalidation threshold.
-    pub drift_threshold: f64,
-    /// Optional profile persistence directory.
-    pub profile_dir: Option<String>,
-    /// Idle-connection reap timeout in milliseconds (0 disables).
-    pub idle_timeout_ms: u64,
-    /// Retries after a transient characterization failure.
-    pub retry_limit: u32,
-    /// Base retry backoff in milliseconds.
-    pub retry_backoff_ms: u64,
-    /// Consecutive failures that open a device's circuit breaker.
-    pub breaker_threshold: u32,
-    /// Degraded serves while open before a half-open probe.
-    pub breaker_cooldown: u32,
-    /// Optional `faultplan v1` script for chaos testing.
-    pub fault_plan: Option<String>,
-    /// Optional `netfaults v1` script driving the network fault fabric
-    /// (partitions, byte drops, latency, slow writes) for chaos testing.
-    pub net_faults: Option<String>,
-    /// Profile-mesh membership: every node's listen address, identically
-    /// ordered on all nodes (empty = single-node, the default).
-    pub cluster: Vec<String>,
-    /// Followers per device when clustered.
-    pub replication: usize,
-    /// Heartbeat probe interval in milliseconds when clustered.
-    pub heartbeat_ms: u64,
-    /// Consecutive missed heartbeats before a peer is declared dead.
-    pub heartbeat_miss_limit: u32,
-}
-
 /// Arguments to `submit`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitArgs {
@@ -145,7 +99,7 @@ pub struct SubmitArgs {
     /// Device name.
     pub device: String,
     /// Policy.
-    pub policy: Policy,
+    pub policy: PolicyChoice,
     /// Trial budget.
     pub shots: u64,
     /// RNG seed.
@@ -315,28 +269,51 @@ pub fn parse(args: &[String]) -> Result<Command, ArgError> {
     }
 }
 
-fn parse_u64(flag: &str, value: Option<&str>) -> Result<u64, ArgError> {
-    value
-        .ok_or_else(|| err(format!("{flag} needs a value")))?
+/// The argument after `flag`; `what` names the missing value in the error.
+fn value<'a>(
+    it: &mut dyn Iterator<Item = &'a str>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, ArgError> {
+    it.next().ok_or_else(|| err(format!("{flag} needs {what}")))
+}
+
+fn int<T: FromStr>(it: &mut dyn Iterator<Item = &str>, flag: &str) -> Result<T, ArgError> {
+    value(it, flag, "a value")?
         .parse()
         .map_err(|_| err(format!("{flag} needs an integer")))
 }
 
-fn parse_threads(value: Option<&str>) -> Result<usize, ArgError> {
-    let n: usize = value
-        .ok_or_else(|| err("--threads needs a value"))?
-        .parse()
-        .map_err(|_| err("--threads needs an integer"))?;
-    if n == 0 {
-        return Err(err("--threads must be at least 1"));
+/// An integer of at least 1.
+fn positive<T: FromStr + Default + PartialEq>(
+    it: &mut dyn Iterator<Item = &str>,
+    flag: &str,
+) -> Result<T, ArgError> {
+    let n = int(it, flag)?;
+    if n == T::default() {
+        return Err(err(format!("{flag} must be at least 1")));
     }
     Ok(n)
 }
 
-fn parse_method(value: Option<&str>) -> Result<CharMethod, ArgError> {
-    value
-        .and_then(CharMethod::parse)
-        .ok_or_else(|| err(format!("bad --method {value:?}")))
+fn non_negative(it: &mut dyn Iterator<Item = &str>, flag: &str) -> Result<f64, ArgError> {
+    let x: f64 = value(it, flag, "a value")?
+        .parse()
+        .map_err(|_| err(format!("{flag} needs a number")))?;
+    if !x.is_finite() || x < 0.0 {
+        return Err(err(format!("{flag} must be a non-negative number")));
+    }
+    Ok(x)
+}
+
+fn method(it: &mut dyn Iterator<Item = &str>) -> Result<CharMethod, ArgError> {
+    let v = value(it, "--method", "a value")?;
+    CharMethod::parse(v).ok_or_else(|| err(format!("bad --method {v:?}")))
+}
+
+fn policy(it: &mut dyn Iterator<Item = &str>) -> Result<PolicyChoice, ArgError> {
+    let v = value(it, "--policy", "a value")?;
+    PolicyChoice::parse(v).ok_or_else(|| err(format!("bad --policy {v:?}")))
 }
 
 fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
@@ -353,37 +330,14 @@ fn parse_characterize(args: &[String]) -> Result<Command, ArgError> {
     let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
         match flag {
-            "--device" => {
-                out.device = it
-                    .next()
-                    .ok_or_else(|| err("--device needs a name"))?
-                    .to_string()
-            }
-            "--method" => out.method = parse_method(it.next())?,
-            "--shots" => out.shots = parse_u64("--shots", it.next())?,
-            "--seed" => out.seed = parse_u64("--seed", it.next())?,
-            "--threads" => out.threads = Some(parse_threads(it.next())?),
-            "--out" => {
-                out.out = Some(
-                    it.next()
-                        .ok_or_else(|| err("--out needs a path"))?
-                        .to_string(),
-                )
-            }
-            "--journal" => {
-                out.journal = Some(
-                    it.next()
-                        .ok_or_else(|| err("--journal needs a path"))?
-                        .to_string(),
-                )
-            }
-            "--fault-plan" => {
-                out.fault_plan = Some(
-                    it.next()
-                        .ok_or_else(|| err("--fault-plan needs a path"))?
-                        .to_string(),
-                )
-            }
+            "--device" => out.device = value(&mut it, flag, "a name")?.into(),
+            "--method" => out.method = method(&mut it)?,
+            "--shots" => out.shots = int(&mut it, flag)?,
+            "--seed" => out.seed = int(&mut it, flag)?,
+            "--threads" => out.threads = Some(positive(&mut it, flag)?),
+            "--out" => out.out = Some(value(&mut it, flag, "a path")?.into()),
+            "--journal" => out.journal = Some(value(&mut it, flag, "a path")?.into()),
+            "--fault-plan" => out.fault_plan = Some(value(&mut it, flag, "a path")?.into()),
             other => return Err(err(format!("unknown flag {other:?}"))),
         }
     }
@@ -398,7 +352,7 @@ fn parse_run(args: &[String]) -> Result<Command, ArgError> {
     let mut out = RunArgs {
         qasm: String::new(),
         device: String::new(),
-        policy: Policy::Baseline,
+        policy: PolicyChoice::Baseline,
         shots: 8192,
         expected: None,
         profile: None,
@@ -406,40 +360,16 @@ fn parse_run(args: &[String]) -> Result<Command, ArgError> {
         seed: 2019,
         threads: None,
     };
-    let mut it = args.iter().map(String::as_str).peekable();
+    let mut it = args.iter().map(String::as_str);
     while let Some(tok) = it.next() {
         match tok {
-            "--device" => {
-                out.device = it
-                    .next()
-                    .ok_or_else(|| err("--device needs a name"))?
-                    .to_string()
-            }
-            "--policy" => {
-                out.policy = match it.next() {
-                    Some("baseline") => Policy::Baseline,
-                    Some("sim") => Policy::Sim,
-                    Some("aim") => Policy::Aim,
-                    other => return Err(err(format!("bad --policy {other:?}"))),
-                }
-            }
-            "--shots" => out.shots = parse_u64("--shots", it.next())?,
-            "--seed" => out.seed = parse_u64("--seed", it.next())?,
-            "--threads" => out.threads = Some(parse_threads(it.next())?),
-            "--expected" => {
-                out.expected = Some(
-                    it.next()
-                        .ok_or_else(|| err("--expected needs a bit string"))?
-                        .to_string(),
-                )
-            }
-            "--profile" => {
-                out.profile = Some(
-                    it.next()
-                        .ok_or_else(|| err("--profile needs a path"))?
-                        .to_string(),
-                )
-            }
+            "--device" => out.device = value(&mut it, tok, "a name")?.into(),
+            "--policy" => out.policy = policy(&mut it)?,
+            "--shots" => out.shots = int(&mut it, tok)?,
+            "--seed" => out.seed = int(&mut it, tok)?,
+            "--threads" => out.threads = Some(positive(&mut it, tok)?),
+            "--expected" => out.expected = Some(value(&mut it, tok, "a bit string")?.into()),
+            "--profile" => out.profile = Some(value(&mut it, tok, "a path")?.into()),
             "--route" => out.route = true,
             flag if flag.starts_with("--") => return Err(err(format!("unknown flag {flag:?}"))),
             positional => {
@@ -457,145 +387,64 @@ fn parse_run(args: &[String]) -> Result<Command, ArgError> {
     Ok(Command::Run(out))
 }
 
-fn parse_usize(flag: &str, value: Option<&str>) -> Result<usize, ArgError> {
-    let n: usize = value
-        .ok_or_else(|| err(format!("{flag} needs a value")))?
-        .parse()
-        .map_err(|_| err(format!("{flag} needs an integer")))?;
-    if n == 0 {
-        return Err(err(format!("{flag} must be at least 1")));
-    }
-    Ok(n)
-}
-
-fn parse_u32(flag: &str, value: Option<&str>) -> Result<u32, ArgError> {
-    value
-        .ok_or_else(|| err(format!("{flag} needs a value")))?
-        .parse()
-        .map_err(|_| err(format!("{flag} needs an integer")))
-}
-
-fn parse_f64(flag: &str, value: Option<&str>) -> Result<f64, ArgError> {
-    let x: f64 = value
-        .ok_or_else(|| err(format!("{flag} needs a value")))?
-        .parse()
-        .map_err(|_| err(format!("{flag} needs a number")))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(err(format!("{flag} must be a non-negative number")));
-    }
-    Ok(x)
-}
-
 fn parse_serve(args: &[String]) -> Result<Command, ArgError> {
-    // The defaults are the server's own, so the CLI cannot drift from them.
-    let d = ServerConfig::default();
-    let mut out = ServeArgs {
+    // Every flag writes into the server's own configuration, so a flag
+    // not given keeps the server's default; only the port differs.
+    let mut config = ServerConfig {
         addr: DEFAULT_ADDR.to_string(),
-        workers: d.workers,
-        queue: d.queue_capacity,
-        exec_threads: d.exec_threads,
-        profile_shots: d.profile_shots,
-        profile_seed: d.profile_seed,
-        drift_amplitude: d.drift_amplitude,
-        drift_threshold: d.drift_threshold,
-        profile_dir: None,
-        idle_timeout_ms: d.idle_timeout_ms,
-        retry_limit: d.retry_limit,
-        retry_backoff_ms: d.retry_backoff_ms,
-        breaker_threshold: d.breaker_failure_threshold,
-        breaker_cooldown: d.breaker_cooldown,
-        fault_plan: None,
-        net_faults: None,
-        cluster: Vec::new(),
+        ..ServerConfig::default()
+    };
+    let mut cluster = ClusterConfig {
+        members: Vec::new(),
+        self_index: 0,
         replication: ClusterConfig::DEFAULT_REPLICATION,
         heartbeat_ms: ClusterConfig::DEFAULT_HEARTBEAT_MS,
         heartbeat_miss_limit: ClusterConfig::DEFAULT_HEARTBEAT_MISS_LIMIT,
     };
+    let (mut fault_plan, mut net_faults) = (None, None);
     let mut it = args.iter().map(String::as_str);
     while let Some(flag) = it.next() {
+        let it = &mut it;
         match flag {
-            "--addr" => {
-                out.addr = it
-                    .next()
-                    .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                    .to_string()
-            }
-            "--workers" => out.workers = parse_usize("--workers", it.next())?,
-            "--queue" => out.queue = parse_usize("--queue", it.next())?,
-            "--exec-threads" => out.exec_threads = parse_usize("--exec-threads", it.next())?,
-            "--profile-shots" => out.profile_shots = parse_u64("--profile-shots", it.next())?,
-            "--profile-seed" => out.profile_seed = parse_u64("--profile-seed", it.next())?,
-            "--drift-amplitude" => out.drift_amplitude = parse_f64("--drift-amplitude", it.next())?,
-            "--drift-threshold" => out.drift_threshold = parse_f64("--drift-threshold", it.next())?,
-            "--profile-dir" => {
-                out.profile_dir = Some(
-                    it.next()
-                        .ok_or_else(|| err("--profile-dir needs a path"))?
-                        .to_string(),
-                )
-            }
-            "--idle-timeout-ms" => out.idle_timeout_ms = parse_u64("--idle-timeout-ms", it.next())?,
-            "--retry-limit" => out.retry_limit = parse_u32("--retry-limit", it.next())?,
-            "--retry-backoff-ms" => {
-                out.retry_backoff_ms = parse_u64("--retry-backoff-ms", it.next())?
-            }
-            "--breaker-threshold" => {
-                out.breaker_threshold = parse_u32("--breaker-threshold", it.next())?;
-                if out.breaker_threshold == 0 {
-                    return Err(err("--breaker-threshold must be at least 1"));
-                }
-            }
-            "--breaker-cooldown" => {
-                out.breaker_cooldown = parse_u32("--breaker-cooldown", it.next())?;
-                if out.breaker_cooldown == 0 {
-                    return Err(err("--breaker-cooldown must be at least 1"));
-                }
-            }
-            "--fault-plan" => {
-                out.fault_plan = Some(
-                    it.next()
-                        .ok_or_else(|| err("--fault-plan needs a path"))?
-                        .to_string(),
-                )
-            }
-            "--net-faults" => {
-                out.net_faults = Some(
-                    it.next()
-                        .ok_or_else(|| err("--net-faults needs a path"))?
-                        .to_string(),
-                )
-            }
+            "--addr" => config.addr = value(it, flag, "HOST:PORT")?.into(),
+            "--workers" => config.workers = positive(it, flag)?,
+            "--queue" => config.queue_capacity = positive(it, flag)?,
+            "--exec-threads" => config.exec_threads = positive(it, flag)?,
+            "--profile-shots" => config.profile_shots = int(it, flag)?,
+            "--profile-seed" => config.profile_seed = int(it, flag)?,
+            "--drift-amplitude" => config.drift_amplitude = non_negative(it, flag)?,
+            "--drift-threshold" => config.drift_threshold = non_negative(it, flag)?,
+            "--profile-dir" => config.profile_dir = Some(value(it, flag, "a path")?.into()),
+            "--idle-timeout-ms" => config.idle_timeout_ms = int(it, flag)?,
+            "--retry-limit" => config.retry_limit = int(it, flag)?,
+            "--retry-backoff-ms" => config.retry_backoff_ms = int(it, flag)?,
+            "--breaker-threshold" => config.breaker_failure_threshold = positive(it, flag)?,
+            "--breaker-cooldown" => config.breaker_cooldown = positive(it, flag)?,
+            "--fault-plan" => fault_plan = Some(value(it, flag, "a path")?.into()),
+            "--net-faults" => net_faults = Some(value(it, flag, "a path")?.into()),
             "--cluster" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| err("--cluster needs a comma-separated member list"))?;
-                out.cluster = list
+                cluster.members = value(it, flag, "a comma-separated member list")?
                     .split(',')
                     .map(str::trim)
                     .filter(|m| !m.is_empty())
                     .map(str::to_string)
                     .collect();
-                if out.cluster.len() < 2 {
+                if cluster.members.len() < 2 {
                     return Err(err("--cluster needs at least 2 members"));
                 }
             }
-            "--replication" => out.replication = parse_usize("--replication", it.next())?,
-            "--heartbeat-ms" => {
-                out.heartbeat_ms = parse_u64("--heartbeat-ms", it.next())?;
-                if out.heartbeat_ms == 0 {
-                    return Err(err("--heartbeat-ms must be at least 1"));
-                }
-            }
-            "--heartbeat-miss-limit" => {
-                out.heartbeat_miss_limit = parse_u32("--heartbeat-miss-limit", it.next())?;
-                if out.heartbeat_miss_limit == 0 {
-                    return Err(err("--heartbeat-miss-limit must be at least 1"));
-                }
-            }
+            "--replication" => cluster.replication = positive(it, flag)?,
+            "--heartbeat-ms" => cluster.heartbeat_ms = positive(it, flag)?,
+            "--heartbeat-miss-limit" => cluster.heartbeat_miss_limit = positive(it, flag)?,
             other => return Err(err(format!("unknown flag {other:?}"))),
         }
     }
-    Ok(Command::Serve(out))
+    config.cluster = (!cluster.members.is_empty()).then_some(cluster);
+    Ok(Command::Serve {
+        config,
+        fault_plan,
+        net_faults,
+    })
 }
 
 fn parse_submit(args: &[String]) -> Result<Command, ArgError> {
@@ -604,7 +453,7 @@ fn parse_submit(args: &[String]) -> Result<Command, ArgError> {
         qasm: String::new(),
         addr: DEFAULT_ADDR.to_string(),
         device: String::new(),
-        policy: Policy::Baseline,
+        policy: PolicyChoice::Baseline,
         shots: 4096,
         seed: 2019,
         expected: None,
@@ -613,36 +462,13 @@ fn parse_submit(args: &[String]) -> Result<Command, ArgError> {
     let mut it = args.iter().map(String::as_str);
     while let Some(tok) = it.next() {
         match tok {
-            "--addr" => {
-                out.addr = it
-                    .next()
-                    .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                    .to_string()
-            }
-            "--device" => {
-                out.device = it
-                    .next()
-                    .ok_or_else(|| err("--device needs a name"))?
-                    .to_string()
-            }
-            "--policy" => {
-                out.policy = match it.next() {
-                    Some("baseline") => Policy::Baseline,
-                    Some("sim") => Policy::Sim,
-                    Some("aim") => Policy::Aim,
-                    other => return Err(err(format!("bad --policy {other:?}"))),
-                }
-            }
-            "--shots" => out.shots = parse_u64("--shots", it.next())?,
-            "--seed" => out.seed = parse_u64("--seed", it.next())?,
-            "--expected" => {
-                out.expected = Some(
-                    it.next()
-                        .ok_or_else(|| err("--expected needs a bit string"))?
-                        .to_string(),
-                )
-            }
-            "--deadline-ms" => out.deadline_ms = Some(parse_u64("--deadline-ms", it.next())?),
+            "--addr" => out.addr = value(&mut it, tok, "HOST:PORT")?.into(),
+            "--device" => out.device = value(&mut it, tok, "a name")?.into(),
+            "--policy" => out.policy = policy(&mut it)?,
+            "--shots" => out.shots = int(&mut it, tok)?,
+            "--seed" => out.seed = int(&mut it, tok)?,
+            "--expected" => out.expected = Some(value(&mut it, tok, "a bit string")?.into()),
+            "--deadline-ms" => out.deadline_ms = Some(int(&mut it, tok)?),
             flag if flag.starts_with("--") => return Err(err(format!("unknown flag {flag:?}"))),
             positional => {
                 if qasm.is_some() {
@@ -664,97 +490,40 @@ fn parse_svc(args: &[String]) -> Result<Command, ArgError> {
     let op_name = it.next().ok_or_else(|| {
         err("svc needs an operation: status, health, shutdown, set-window, characterize, cluster-map")
     })?;
-    let mut addr = DEFAULT_ADDR.to_string();
-    let op = match op_name {
-        "status" | "shutdown" | "health" => {
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                            .to_string()
-                    }
-                    other => return Err(err(format!("unknown flag {other:?}"))),
-                }
-            }
-            match op_name {
-                "status" => SvcOp::Status,
-                "health" => SvcOp::Health,
-                _ => SvcOp::Shutdown,
-            }
-        }
-        "set-window" => {
-            let window = parse_u64("set-window", it.next())?;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                            .to_string()
-                    }
-                    other => return Err(err(format!("unknown flag {other:?}"))),
-                }
-            }
-            SvcOp::SetWindow { window }
-        }
-        "characterize" => {
-            let mut device = String::new();
-            let mut method = CharMethod::Brute;
-            let mut shots = 0u64;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                            .to_string()
-                    }
-                    "--device" => {
-                        device = it
-                            .next()
-                            .ok_or_else(|| err("--device needs a name"))?
-                            .to_string()
-                    }
-                    "--method" => method = parse_method(it.next())?,
-                    "--shots" => shots = parse_u64("--shots", it.next())?,
-                    other => return Err(err(format!("unknown flag {other:?}"))),
-                }
-            }
-            if device.is_empty() {
-                return Err(err("svc characterize requires --device"));
-            }
-            SvcOp::Characterize {
-                device,
-                method,
-                shots,
-            }
-        }
-        "cluster-map" => {
-            let mut device = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--addr" => {
-                        addr = it
-                            .next()
-                            .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                            .to_string()
-                    }
-                    "--device" => {
-                        device = Some(
-                            it.next()
-                                .ok_or_else(|| err("--device needs a name"))?
-                                .to_string(),
-                        )
-                    }
-                    other => return Err(err(format!("unknown flag {other:?}"))),
-                }
-            }
-            SvcOp::ClusterMap { device }
-        }
+    let mut op = match op_name {
+        "status" => SvcOp::Status,
+        "health" => SvcOp::Health,
+        "shutdown" => SvcOp::Shutdown,
+        "set-window" => SvcOp::SetWindow {
+            window: int(&mut it, "set-window")?,
+        },
+        "characterize" => SvcOp::Characterize {
+            device: String::new(),
+            method: CharMethod::Brute,
+            shots: 0,
+        },
+        "cluster-map" => SvcOp::ClusterMap { device: None },
         other => return Err(err(format!("unknown svc operation {other:?}"))),
     };
+    let mut addr = DEFAULT_ADDR.to_string();
+    while let Some(flag) = it.next() {
+        let it = &mut it;
+        match (&mut op, flag) {
+            (_, "--addr") => addr = value(it, flag, "HOST:PORT")?.into(),
+            (SvcOp::Characterize { device, .. }, "--device") => {
+                *device = value(it, flag, "a name")?.into();
+            }
+            (SvcOp::Characterize { method: m, .. }, "--method") => *m = method(it)?,
+            (SvcOp::Characterize { shots, .. }, "--shots") => *shots = int(it, flag)?,
+            (SvcOp::ClusterMap { device }, "--device") => {
+                *device = Some(value(it, flag, "a name")?.into());
+            }
+            (_, other) => return Err(err(format!("unknown flag {other:?}"))),
+        }
+    }
+    if matches!(&op, SvcOp::Characterize { device, .. } if device.is_empty()) {
+        return Err(err("svc characterize requires --device"));
+    }
     Ok(Command::Svc(SvcArgs { addr, op }))
 }
 
@@ -768,9 +537,9 @@ mod tests {
 
     #[test]
     fn parses_help_and_devices() {
-        assert_eq!(parse(&[]).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("devices")).unwrap(), Command::Devices);
+        assert!(matches!(parse(&[]).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("--help")).unwrap(), Command::Help));
+        assert!(matches!(parse(&argv("devices")).unwrap(), Command::Devices));
         assert!(parse(&argv("devices extra")).is_err());
     }
 
@@ -822,7 +591,7 @@ mod tests {
         match cmd {
             Command::Run(a) => {
                 assert_eq!(a.qasm, "prog.qasm");
-                assert_eq!(a.policy, Policy::Aim);
+                assert_eq!(a.policy, PolicyChoice::Aim);
                 assert!(a.route);
                 assert_eq!(a.expected.as_deref(), Some("10110"));
                 assert_eq!(a.threads, Some(8));
@@ -840,30 +609,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parses_serve_with_defaults_and_overrides() {
-        match parse(&argv("serve")).unwrap() {
-            Command::Serve(a) => {
-                assert_eq!(a.addr, DEFAULT_ADDR);
-                assert_eq!(a.workers, 2);
-                assert_eq!(a.queue, 32);
-                assert_eq!(a.profile_shots, 2048);
-                assert_eq!(a.profile_dir, None);
-                assert_eq!(a.idle_timeout_ms, 30_000);
-                assert_eq!(a.retry_limit, 2);
-                assert_eq!(a.retry_backoff_ms, 25);
-                assert_eq!(a.breaker_threshold, 3);
-                assert_eq!(a.breaker_cooldown, 4);
-                assert_eq!(a.fault_plan, None);
-                assert_eq!(a.net_faults, None);
-                assert!(a.cluster.is_empty(), "single-node is the default");
-                assert_eq!(a.replication, 1);
-                assert_eq!(a.heartbeat_ms, 1000);
-                assert_eq!(a.heartbeat_miss_limit, 3);
-            }
+    /// The `config` a `serve` command line parses to.
+    fn serve_config(line: &str) -> ServerConfig {
+        match parse(&argv(line)).unwrap() {
+            Command::Serve { config, .. } => config,
             other => panic!("wrong command {other:?}"),
         }
-        match parse(&argv(
+    }
+
+    #[test]
+    fn parses_serve_with_defaults_and_overrides() {
+        let Command::Serve {
+            config: a,
+            fault_plan,
+            net_faults,
+        } = parse(&argv("serve")).unwrap()
+        else {
+            panic!("serve must parse");
+        };
+        assert_eq!(a.addr, DEFAULT_ADDR);
+        assert_eq!(a.workers, 2);
+        assert_eq!(a.queue_capacity, 32);
+        assert_eq!(a.profile_shots, 2048);
+        assert_eq!(a.profile_dir, None);
+        assert_eq!(a.idle_timeout_ms, 30_000);
+        assert_eq!(a.retry_limit, 2);
+        assert_eq!(a.retry_backoff_ms, 25);
+        assert_eq!(a.breaker_failure_threshold, 3);
+        assert_eq!(a.breaker_cooldown, 4);
+        assert_eq!(fault_plan, None);
+        assert_eq!(net_faults, None);
+        assert!(a.cluster.is_none(), "single-node is the default");
+
+        let Command::Serve {
+            config: a,
+            fault_plan,
+            net_faults,
+        } = parse(&argv(
             "serve --addr 127.0.0.1:0 --workers 4 --queue 8 \
              --exec-threads 2 \
              --profile-shots 512 --profile-seed 9 --drift-amplitude 0.1 \
@@ -872,53 +654,46 @@ mod tests {
              --breaker-cooldown 3 --fault-plan chaos.plan --net-faults net.plan",
         ))
         .unwrap()
-        {
-            Command::Serve(a) => {
-                assert_eq!(a.addr, "127.0.0.1:0");
-                assert_eq!(a.workers, 4);
-                assert_eq!(a.queue, 8);
-                assert_eq!(a.exec_threads, 2);
-                assert_eq!(a.profile_shots, 512);
-                assert_eq!(a.profile_seed, 9);
-                assert_eq!(a.drift_amplitude, 0.1);
-                assert_eq!(a.drift_threshold, 0.02);
-                assert_eq!(a.profile_dir.as_deref(), Some("cache"));
-                assert_eq!(a.idle_timeout_ms, 500);
-                assert_eq!(a.retry_limit, 1);
-                assert_eq!(a.retry_backoff_ms, 0);
-                assert_eq!(a.breaker_threshold, 2);
-                assert_eq!(a.breaker_cooldown, 3);
-                assert_eq!(a.fault_plan.as_deref(), Some("chaos.plan"));
-                assert_eq!(a.net_faults.as_deref(), Some("net.plan"));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        else {
+            panic!("serve must parse");
+        };
+        assert_eq!(a.addr, "127.0.0.1:0");
+        assert_eq!(a.workers, 4);
+        assert_eq!(a.queue_capacity, 8);
+        assert_eq!(a.exec_threads, 2);
+        assert_eq!(a.profile_shots, 512);
+        assert_eq!(a.profile_seed, 9);
+        assert_eq!(a.drift_amplitude, 0.1);
+        assert_eq!(a.drift_threshold, 0.02);
+        assert_eq!(a.profile_dir, Some("cache".into()));
+        assert_eq!(a.idle_timeout_ms, 500);
+        assert_eq!(a.retry_limit, 1);
+        assert_eq!(a.retry_backoff_ms, 0);
+        assert_eq!(a.breaker_failure_threshold, 2);
+        assert_eq!(a.breaker_cooldown, 3);
+        assert_eq!(fault_plan.as_deref(), Some("chaos.plan"));
+        assert_eq!(net_faults.as_deref(), Some("net.plan"));
     }
 
     #[test]
     fn bare_serve_maps_to_the_default_server_config() {
-        let Command::Serve(a) = parse(&argv("serve")).unwrap() else {
-            panic!("serve must parse");
-        };
-        let mut got = crate::server_config(&a).unwrap();
+        let mut got = crate::server_config(&serve_config("serve"), None, None).unwrap();
         assert_eq!(got.addr, DEFAULT_ADDR, "the CLI has its own port");
         let want = ServerConfig::default();
         got.addr.clone_from(&want.addr);
         assert_eq!(format!("{got:?}"), format!("{want:?}"));
 
         let members = "127.0.0.1:7001,127.0.0.1:7002";
-        let Command::Serve(a) = parse(&argv(&format!(
-            "serve --addr 127.0.0.1:7001 --cluster {members}"
-        )))
-        .unwrap() else {
-            panic!("serve must parse");
-        };
+        let config = serve_config(&format!("serve --addr 127.0.0.1:7001 --cluster {members}"));
         let want = ClusterConfig::new(
             members.split(',').map(str::to_string).collect(),
             "127.0.0.1:7001",
         )
         .unwrap();
-        assert_eq!(crate::server_config(&a).unwrap().cluster, Some(want));
+        assert_eq!(
+            crate::server_config(&config, None, None).unwrap().cluster,
+            Some(want)
+        );
     }
 
     #[test]
@@ -929,24 +704,20 @@ mod tests {
 
     #[test]
     fn parses_serve_cluster_flags() {
-        match parse(&argv(
+        let cluster = serve_config(
             "serve --addr 127.0.0.1:7001 --profile-dir cache \
              --cluster 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
              --replication 2 --heartbeat-ms 100 --heartbeat-miss-limit 2",
-        ))
-        .unwrap()
-        {
-            Command::Serve(a) => {
-                assert_eq!(
-                    a.cluster,
-                    vec!["127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"]
-                );
-                assert_eq!(a.replication, 2);
-                assert_eq!(a.heartbeat_ms, 100);
-                assert_eq!(a.heartbeat_miss_limit, 2);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        )
+        .cluster
+        .expect("--cluster configures the mesh");
+        assert_eq!(
+            cluster.members,
+            vec!["127.0.0.1:7001", "127.0.0.1:7002", "127.0.0.1:7003"]
+        );
+        assert_eq!(cluster.replication, 2);
+        assert_eq!(cluster.heartbeat_ms, 100);
+        assert_eq!(cluster.heartbeat_miss_limit, 2);
     }
 
     #[test]
@@ -961,7 +732,7 @@ mod tests {
                 assert_eq!(a.qasm, "prog.qasm");
                 assert_eq!(a.device, "ibmqx4");
                 assert_eq!(a.addr, "127.0.0.1:9999");
-                assert_eq!(a.policy, Policy::Aim);
+                assert_eq!(a.policy, PolicyChoice::Aim);
                 assert_eq!(a.shots, 1000);
                 assert_eq!(a.seed, 3);
                 assert_eq!(a.expected.as_deref(), Some("11111"));
@@ -972,7 +743,7 @@ mod tests {
         match parse(&argv("submit p.qasm --device ibmqx2")).unwrap() {
             Command::Submit(a) => {
                 assert_eq!(a.addr, DEFAULT_ADDR);
-                assert_eq!(a.policy, Policy::Baseline);
+                assert_eq!(a.policy, PolicyChoice::Baseline);
                 assert_eq!(a.shots, 4096);
                 assert_eq!(a.deadline_ms, None);
             }
@@ -1127,7 +898,15 @@ mod tests {
             ),
             ("run --device x", "requires a QASM file"),
             ("run a.qasm b.qasm --device x", "unexpected argument"),
-            ("run a.qasm --device x --policy nope", "bad --policy"),
+            (
+                "run a.qasm --device x --policy nope",
+                "bad --policy \"nope\"",
+            ),
+            (
+                "submit a.qasm --device x --policy magic",
+                "bad --policy \"magic\"",
+            ),
+            ("run a.qasm --device x --policy", "--policy needs a value"),
             (
                 "run a.qasm --device x --threads 0",
                 "--threads must be at least 1",
@@ -1138,5 +917,7 @@ mod tests {
             let e = parse(&argv(input)).unwrap_err().to_string();
             assert!(e.contains(expect), "{input:?}: {e}");
         }
+        let bad_policy = crate::run_cli(&argv("submit a.qasm --device x --policy magic"));
+        assert_eq!(bad_policy.unwrap_err().exit_code(), 2, "a usage error");
     }
 }

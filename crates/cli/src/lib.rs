@@ -33,20 +33,16 @@
 
 pub mod args;
 
-use args::{CharacterizeArgs, Command, Policy, RunArgs, ServeArgs, SubmitArgs, SvcArgs};
-use invmeas::{
-    AdaptiveInvertMeasure, Baseline, CharSpec, Journal, MeasurementPolicy, ProfileMeta, RbmsTable,
-    StaticInvertMeasure,
-};
+use args::{CharacterizeArgs, Command, RunArgs, SubmitArgs, SvcArgs};
+use invmeas::{CharSpec, Journal, PolicyChoice, ProfileMeta, RbmsTable, Runner};
 use invmeas_service::{
-    CharacterizeRequest, Client, ClusterConfig, PolicyKind, Request, Response, Server,
-    ServerConfig, SubmitRequest,
+    CharacterizeRequest, Client, ClusterConfig, Request, Response, Server, ServerConfig,
+    SubmitRequest,
 };
 use qmetrics::{fmt_pct, fmt_prob, fmt_ratio, CorrectSet, ReliabilityReport, Table};
 use qnoise::{DeviceModel, NoisyExecutor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Boxed error type for command execution.
 pub type CliError = Box<dyn std::error::Error + Send + Sync>;
@@ -136,34 +132,11 @@ fn health(a: &SvcArgs) -> Result<String, CliFailure> {
     }
 }
 
-/// Resolves a device name (`ibmqx2`, `ibmqx4`, `ibmq-melbourne`, or
-/// `ideal-N`).
-///
-/// # Errors
-///
-/// Returns an error naming the unknown device.
-pub fn resolve_device(name: &str) -> Result<DeviceModel, CliError> {
-    match name {
-        "ibmqx2" => Ok(DeviceModel::ibmqx2()),
-        "ibmqx4" => Ok(DeviceModel::ibmqx4()),
-        "ibmq-melbourne" | "ibmq_melbourne" => Ok(DeviceModel::ibmq_melbourne()),
-        other => {
-            if let Some(n) = other.strip_prefix("ideal-") {
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("bad ideal device size in {other:?}"))?;
-                if n == 0 || n > 20 {
-                    return Err(format!("ideal device size {n} out of range").into());
-                }
-                Ok(DeviceModel::ideal(n))
-            } else {
-                Err(format!(
-                    "unknown device {other:?} (try: ibmqx2, ibmqx4, ibmq-melbourne, ideal-N)"
-                )
-                .into())
-            }
-        }
-    }
+/// The built-in device model `name` names ([`DeviceModel::by_name`]).
+fn device(name: &str) -> Result<DeviceModel, CliError> {
+    DeviceModel::by_name(name).ok_or_else(|| {
+        format!("unknown device {name:?} (try: ibmqx2, ibmqx4, ibmq-melbourne, ideal-N)").into()
+    })
 }
 
 /// Executes a parsed command, returning the rendered output.
@@ -178,70 +151,48 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Characterize(a) => characterize(a),
         Command::ProfileInfo { path } => profile_info(path),
         Command::Run(a) => run(a),
-        Command::Serve(a) => serve(a),
+        Command::Serve {
+            config,
+            fault_plan,
+            net_faults,
+        } => serve(server_config(
+            config,
+            fault_plan.as_deref(),
+            net_faults.as_deref(),
+        )?),
         Command::Submit(a) => submit(a),
         Command::Svc(a) => svc(a),
     }
 }
 
-fn policy_kind(p: Policy) -> PolicyKind {
-    match p {
-        Policy::Baseline => PolicyKind::Baseline,
-        Policy::Sim => PolicyKind::Sim,
-        Policy::Aim => PolicyKind::Aim,
-    }
-}
-
-/// The server configuration `serve` runs with: every field the flags do
-/// not name keeps its [`ServerConfig::default`] value.
-fn server_config(a: &ServeArgs) -> Result<ServerConfig, CliError> {
-    let faults: std::sync::Arc<dyn invmeas_faults::FaultInjector> = match &a.fault_plan {
-        Some(path) => std::sync::Arc::new(
+/// `config` with its fault scripts loaded and its cluster member list
+/// checked against its own address.
+fn server_config(
+    config: &ServerConfig,
+    fault_plan: Option<&str>,
+    net_faults: Option<&str>,
+) -> Result<ServerConfig, CliError> {
+    let mut config = config.clone();
+    if let Some(path) = fault_plan {
+        config.faults = Arc::new(
             invmeas_faults::FaultPlan::load(path)
                 .map_err(|e| format!("cannot load fault plan {path}: {e}"))?,
-        ),
-        None => std::sync::Arc::new(invmeas_faults::NoFaults),
-    };
-    let net_faults = match &a.net_faults {
-        Some(path) => Some(std::sync::Arc::new(
+        );
+    }
+    if let Some(path) = net_faults {
+        config.net_faults = Some(Arc::new(
             invmeas_faults::NetFaultPlan::load(path)
                 .map_err(|e| format!("cannot load net faults {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let cluster = if a.cluster.is_empty() {
-        None
-    } else {
-        let mut c = ClusterConfig::new(a.cluster.clone(), &a.addr)?;
-        c.replication = a.replication;
-        c.heartbeat_ms = a.heartbeat_ms;
-        c.heartbeat_miss_limit = a.heartbeat_miss_limit;
-        Some(c)
-    };
-    Ok(ServerConfig {
-        addr: a.addr.clone(),
-        workers: a.workers,
-        queue_capacity: a.queue,
-        exec_threads: a.exec_threads,
-        profile_shots: a.profile_shots,
-        profile_seed: a.profile_seed,
-        drift_amplitude: a.drift_amplitude,
-        drift_threshold: a.drift_threshold,
-        profile_dir: a.profile_dir.clone().map(std::path::PathBuf::from),
-        idle_timeout_ms: a.idle_timeout_ms,
-        retry_limit: a.retry_limit,
-        retry_backoff_ms: a.retry_backoff_ms,
-        breaker_failure_threshold: a.breaker_threshold,
-        breaker_cooldown: a.breaker_cooldown,
-        faults,
-        net_faults,
-        cluster,
-        ..ServerConfig::default()
-    })
+        ));
+    }
+    if let Some(cluster) = &mut config.cluster {
+        cluster.self_index = ClusterConfig::new(cluster.members.clone(), &config.addr)?.self_index;
+    }
+    Ok(config)
 }
 
-fn serve(a: &ServeArgs) -> Result<String, CliError> {
-    let server = Server::bind(server_config(a)?)?;
+fn serve(config: ServerConfig) -> Result<String, CliError> {
+    let server = Server::bind(config)?;
     // Scripts (and the CI smoke job) parse this line to learn the actual
     // port when binding to port 0, so it must reach stdout before serve()
     // blocks.
@@ -285,7 +236,7 @@ fn submit(a: &SubmitArgs) -> Result<String, CliError> {
     let request = Request::Submit(SubmitRequest {
         device: a.device.clone(),
         qasm,
-        policy: policy_kind(a.policy),
+        policy: a.policy,
         shots: a.shots,
         seed: a.seed,
         expected: a.expected.clone(),
@@ -416,7 +367,7 @@ fn resolve_threads(requested: Option<usize>) -> usize {
 
 fn characterize(a: &CharacterizeArgs) -> Result<String, CliError> {
     use std::fmt::Write as _;
-    let dev = resolve_device(&a.device)?;
+    let dev = device(&a.device)?;
     let spec = CharSpec::new(a.method, dev.name(), dev.n_qubits(), a.shots, a.seed);
     spec.validate()?;
     let exec = NoisyExecutor::from_device(&dev).with_threads(resolve_threads(a.threads));
@@ -531,10 +482,9 @@ fn profile_info(path: &str) -> Result<String, CliError> {
 
 fn run(a: &RunArgs) -> Result<String, CliError> {
     use std::fmt::Write as _;
-    let dev = resolve_device(&a.device)?;
+    let dev = device(&a.device)?;
     let text = std::fs::read_to_string(&a.qasm)?;
     let logical = qsim::qasm::from_qasm(&text)?;
-    let mut rng = StdRng::seed_from_u64(a.seed);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -569,38 +519,24 @@ fn run(a: &RunArgs) -> Result<String, CliError> {
         (logical.clone(), None)
     };
 
-    let exec = NoisyExecutor::from_device(&dev).with_threads(resolve_threads(a.threads));
-    let width = circuit.n_qubits();
-    let policy: Box<dyn MeasurementPolicy> = match a.policy {
-        Policy::Baseline => Box::new(Baseline),
-        Policy::Sim => Box::new(StaticInvertMeasure::four_mode(width)),
-        Policy::Aim => {
-            let profile = match &a.profile {
-                Some(path) => {
-                    let (p, _) = RbmsTable::load(path, &invmeas_faults::NoFaults)?;
-                    if p.width() != width {
-                        return Err(format!(
-                            "profile width {} does not match register {}",
-                            p.width(),
-                            width
-                        )
-                        .into());
-                    }
-                    p
-                }
-                None => {
-                    if width <= 5 {
-                        RbmsTable::brute_force(&exec, 4096, &mut rng)
-                    } else {
-                        RbmsTable::awct(&exec, 4, 2, 4096, &mut rng)
-                    }
-                }
-            };
-            Box::new(AdaptiveInvertMeasure::new(profile))
+    let mut runner = Runner::new(dev)
+        .with_seed(a.seed)
+        .with_threads(resolve_threads(a.threads))
+        .with_profile_shots(4096);
+    if let (PolicyChoice::Aim, Some(path)) = (a.policy, &a.profile) {
+        let (p, _) = RbmsTable::load(path, &invmeas_faults::NoFaults)?;
+        if p.width() != circuit.n_qubits() {
+            return Err(format!(
+                "profile width {} does not match register {}",
+                p.width(),
+                circuit.n_qubits()
+            )
+            .into());
         }
-    };
-
-    let physical_log = policy.execute(&circuit, a.shots, &exec, &mut rng);
+        runner.set_profile(p);
+    }
+    let policy = runner.policy(a.policy);
+    let physical_log = runner.run(a.policy, &circuit, a.shots);
     let log = match &routed {
         Some(r) => r.logical_counts(&physical_log),
         None => physical_log,
@@ -643,15 +579,6 @@ fn run(a: &RunArgs) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use invmeas::CharMethod;
-
-    #[test]
-    fn resolve_known_devices() {
-        assert_eq!(resolve_device("ibmqx2").unwrap().n_qubits(), 5);
-        assert_eq!(resolve_device("ibmq-melbourne").unwrap().n_qubits(), 14);
-        assert_eq!(resolve_device("ideal-7").unwrap().n_qubits(), 7);
-        assert!(resolve_device("ideal-0").is_err());
-        assert!(resolve_device("tokyo").is_err());
-    }
 
     #[test]
     fn devices_listing_renders() {
@@ -780,6 +707,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The stdout of `invmeas run` on ibmqx2 with a fixed seed, pinned for
+    /// every policy, for AIM with a measured and a loaded profile, and for
+    /// a routed program. Paths are relative to the crate root, where cargo
+    /// runs tests, so the `loaded …` lines are stable.
+    #[test]
+    fn run_output_is_pinned() {
+        let commands = [
+            "run testdata/prog5.qasm --device ibmqx2 --policy baseline --expected 11011",
+            "run testdata/prog5.qasm --device ibmqx2 --policy sim --expected 11011",
+            "run testdata/prog5.qasm --device ibmqx2 --policy aim --expected 11011",
+            "run testdata/prog5.qasm --device ibmqx2 --policy aim --expected 11011 \
+             --profile testdata/ibmqx2-brute-2000-seed7.rbms",
+            "run testdata/prog3.qasm --device ibmqx2 --policy aim --expected 101 --route",
+        ];
+        let mut got = String::new();
+        for cmd in commands {
+            let argv: Vec<String> = format!("{cmd} --shots 2000 --seed 7 --threads 2")
+                .split_whitespace()
+                .map(str::to_string)
+                .collect();
+            got.push_str(&format!("$ invmeas {}\n", argv.join(" ")));
+            got.push_str(&run_cli(&argv).unwrap());
+        }
+        assert_eq!(got, include_str!("../testdata/run-ibmqx2-seed7.txt"));
+    }
+
     #[test]
     fn journal_does_not_change_the_written_profile() {
         let dir = std::env::temp_dir().join("invmeas-cli-journal-parity-test");
@@ -827,7 +780,7 @@ mod tests {
         let base = execute(&Command::Run(RunArgs {
             qasm: qasm_path.to_string_lossy().into_owned(),
             device: "ibmqx4".into(),
-            policy: Policy::Baseline,
+            policy: PolicyChoice::Baseline,
             shots: 2000,
             expected: Some("11111".into()),
             profile: None,
@@ -840,7 +793,7 @@ mod tests {
         let aim = execute(&Command::Run(RunArgs {
             qasm: qasm_path.to_string_lossy().into_owned(),
             device: "ibmqx4".into(),
-            policy: Policy::Aim,
+            policy: PolicyChoice::Aim,
             shots: 2000,
             expected: Some("11111".into()),
             profile: None,
@@ -863,7 +816,7 @@ mod tests {
         let out = execute(&Command::Run(RunArgs {
             qasm: qasm_path.to_string_lossy().into_owned(),
             device: "ibmq-melbourne".into(),
-            policy: Policy::Baseline,
+            policy: PolicyChoice::Baseline,
             shots: 500,
             expected: Some("101".into()),
             profile: None,
@@ -1007,7 +960,7 @@ mod tests {
         let e = execute(&Command::Run(RunArgs {
             qasm: qasm_path.to_string_lossy().into_owned(),
             device: "ibmqx2".into(),
-            policy: Policy::Baseline,
+            policy: PolicyChoice::Baseline,
             shots: 10,
             expected: None,
             profile: None,

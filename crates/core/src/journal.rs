@@ -112,6 +112,16 @@ impl CharMethod {
             _ => None,
         }
     }
+
+    /// The technique the paper prescribes for profiling a `width`-qubit
+    /// machine (§6.2.1): brute force up to 5 qubits, AWCT windows beyond.
+    pub fn for_width(width: usize) -> CharMethod {
+        if width <= 5 {
+            CharMethod::Brute
+        } else {
+            CharMethod::Awct
+        }
+    }
 }
 
 /// The full identity of one characterization job. Two runs with equal

@@ -181,6 +181,18 @@ impl RbmsTable {
         Self::run(executor, &spec)
     }
 
+    /// The profile the paper prescribes for `executor`'s register
+    /// (§6.2.1): [`CharMethod::for_width`]'s technique at its default
+    /// geometry, `shots` per state or per window.
+    ///
+    /// # Panics
+    ///
+    /// As [`RbmsTable::brute_force`] and [`RbmsTable::awct`].
+    pub fn prescribed(executor: &dyn Executor, shots: u64, rng: &mut dyn RngCore) -> Self {
+        let method = CharMethod::for_width(executor.n_qubits());
+        Self::run(executor, &Self::spec(executor, method, shots, rng))
+    }
+
     /// The unlabelled job for `method` on `executor`, seeded from `rng`.
     fn spec(
         executor: &dyn Executor,

@@ -9,7 +9,7 @@ use crate::aim::AdaptiveInvertMeasure;
 use crate::policy::{Baseline, MeasurementPolicy};
 use crate::rbms::RbmsTable;
 use crate::sim::StaticInvertMeasure;
-use invmeas_faults::{Fault, FaultInjector, FaultSite, NoFaults};
+use invmeas_faults::FaultInjector;
 use qmetrics::{CorrectSet, ReliabilityReport};
 use qnoise::{DeviceModel, NoisyExecutor};
 use qsim::{Circuit, Counts};
@@ -26,6 +26,27 @@ pub enum PolicyChoice {
     Sim,
     /// Adaptive Invert-and-Measure (profiles the machine on first use).
     Aim,
+}
+
+impl PolicyChoice {
+    /// The spelling used on the command line and on the wire.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PolicyChoice::Baseline => "baseline",
+            PolicyChoice::Sim => "sim",
+            PolicyChoice::Aim => "aim",
+        }
+    }
+
+    /// Parses [`as_str`](PolicyChoice::as_str)'s spelling.
+    pub fn parse(s: &str) -> Option<PolicyChoice> {
+        match s {
+            "baseline" => Some(PolicyChoice::Baseline),
+            "sim" => Some(PolicyChoice::Sim),
+            "aim" => Some(PolicyChoice::Aim),
+            _ => None,
+        }
+    }
 }
 
 /// A configured execution environment for one device.
@@ -51,7 +72,6 @@ pub struct Runner {
     rng: StdRng,
     profile_shots: u64,
     profile: Option<RbmsTable>,
-    faults: Arc<dyn FaultInjector>,
 }
 
 impl Runner {
@@ -69,7 +89,6 @@ impl Runner {
             rng: StdRng::seed_from_u64(0x1e4d),
             profile_shots: Self::DEFAULT_PROFILE_SHOTS,
             profile: None,
-            faults: Arc::new(NoFaults),
         }
     }
 
@@ -99,15 +118,12 @@ impl Runner {
         self
     }
 
-    /// Installs a fault injector on the runner *and* its executor: the
-    /// runner registers one [`FaultSite::Characterize`] arrival per profile
-    /// measurement (see [`Runner::try_profile`]) and the executor one
-    /// [`FaultSite::Exec`] arrival per batch-level run. Production code
-    /// never calls this; the default [`NoFaults`] costs nothing.
+    /// Installs a fault injector on the executor, which registers one
+    /// [`FaultSite::Exec`](invmeas_faults::FaultSite::Exec) arrival per
+    /// batch-level run.
     #[must_use]
     pub fn with_faults(mut self, faults: Arc<dyn FaultInjector>) -> Self {
-        self.executor = self.executor.with_faults(Arc::clone(&faults));
-        self.faults = faults;
+        self.executor = self.executor.with_faults(faults);
         self
     }
 
@@ -141,62 +157,27 @@ impl Runner {
         self.profile = Some(profile);
     }
 
-    /// Drops any cached or injected profile so the next AIM run re-measures.
-    pub fn clear_profile(&mut self) {
-        self.profile = None;
-    }
-
-    /// The currently held profile, if one has been measured or injected.
-    pub fn cached_profile(&self) -> Option<&RbmsTable> {
-        self.profile.as_ref()
-    }
-
     /// The device in use.
     pub fn device(&self) -> &DeviceModel {
         &self.device
     }
 
-    /// The machine profile, measuring it on first use (brute force for ≤ 5
-    /// qubits, AWCT windows beyond — the paper's §6.2.1 prescription).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an installed fault injector fails the measurement — hosts
-    /// that script faults must use [`Runner::try_profile`].
+    /// The machine profile, measuring it on first use with the paper's
+    /// prescription ([`RbmsTable::prescribed`]).
     pub fn profile(&mut self) -> &RbmsTable {
-        self.try_profile()
-            .expect("characterization failed (injected fault on an infallible path)")
+        self.profile.get_or_insert_with(|| {
+            RbmsTable::prescribed(&self.executor, self.profile_shots, &mut self.rng)
+        })
     }
 
-    /// Fallible form of [`Runner::profile`]: measures the machine profile
-    /// on first use, registering one [`FaultSite::Characterize`] arrival
-    /// per actual measurement (cached and injected profiles register
-    /// nothing). An injected `Error` is returned to the caller — this is
-    /// the hook the mitigation service's retry/breaker layer exercises;
-    /// `Latency` stalls the measurement and `Panic` panics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the injected failure message. Without a fault injector this
-    /// never errors.
-    pub fn try_profile(&mut self) -> Result<&RbmsTable, String> {
-        if self.profile.is_none() {
-            if let Some(f) = self.faults.check(FaultSite::Characterize) {
-                f.apply_latency();
-                match f {
-                    Fault::Error(m) => return Err(m),
-                    Fault::Panic(m) => panic!("{m}"),
-                    _ => {}
-                }
-            }
-            let table = if self.device.n_qubits() <= 5 {
-                RbmsTable::brute_force(&self.executor, self.profile_shots, &mut self.rng)
-            } else {
-                RbmsTable::awct(&self.executor, 4, 2, self.profile_shots, &mut self.rng)
-            };
-            self.profile = Some(table);
+    /// The policy object `choice` names for this device. AIM measures the
+    /// machine profile first if none is held yet.
+    pub fn policy(&mut self, choice: PolicyChoice) -> Box<dyn MeasurementPolicy> {
+        match choice {
+            PolicyChoice::Baseline => Box::new(Baseline),
+            PolicyChoice::Sim => Box::new(StaticInvertMeasure::four_mode(self.device.n_qubits())),
+            PolicyChoice::Aim => Box::new(AdaptiveInvertMeasure::new(self.profile().clone())),
         }
-        Ok(self.profile.as_ref().expect("just inserted"))
     }
 
     /// Executes `circuit` for `shots` trials under the chosen policy and
@@ -211,26 +192,8 @@ impl Runner {
             self.device.n_qubits(),
             "circuit width must match the device (route it first if needed)"
         );
-        match policy {
-            PolicyChoice::Baseline => {
-                Baseline.execute(circuit, shots, &self.executor, &mut self.rng)
-            }
-            PolicyChoice::Sim => StaticInvertMeasure::four_mode(circuit.n_qubits()).execute(
-                circuit,
-                shots,
-                &self.executor,
-                &mut self.rng,
-            ),
-            PolicyChoice::Aim => {
-                let profile = self.profile().clone();
-                AdaptiveInvertMeasure::new(profile).execute(
-                    circuit,
-                    shots,
-                    &self.executor,
-                    &mut self.rng,
-                )
-            }
-        }
+        self.policy(policy)
+            .execute(circuit, shots, &self.executor, &mut self.rng)
     }
 
     /// Runs and scores in one call.
@@ -294,17 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_profile_replaces_and_clears() {
+    fn injected_profile_replaces_measurement() {
         let table = RbmsTable::exact(&DeviceModel::ibmqx4().readout());
         let mut runner = Runner::new(DeviceModel::ibmqx4()).with_profile_shots(128);
-        assert!(runner.cached_profile().is_none());
         runner.set_profile(table.clone());
-        assert_eq!(runner.cached_profile(), Some(&table));
         assert_eq!(runner.profile(), &table); // injected, not measured
-        runner.clear_profile();
-        assert!(runner.cached_profile().is_none());
-        // Next access measures afresh.
-        assert!(runner.profile().trials_used() > 0);
     }
 
     #[test]
@@ -333,34 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn injected_characterization_fault_is_transient() {
-        use invmeas_faults::FaultPlan;
-
-        let plan = Arc::new(FaultPlan::new(5).on_nth(
-            FaultSite::Characterize,
-            1,
-            Fault::Error("injected characterization failure".into()),
-        ));
-        let mut runner = Runner::new(DeviceModel::ibmqx4())
-            .with_seed(2)
-            .with_profile_shots(256)
-            .with_faults(Arc::clone(&plan) as Arc<dyn FaultInjector>);
-        // First measurement hits the scripted fault; nothing is cached.
-        let err = runner.try_profile().unwrap_err();
-        assert!(err.contains("injected"), "{err}");
-        assert!(runner.cached_profile().is_none());
-        // The retry (arrival 2, nothing scheduled) succeeds and caches.
-        assert!(runner.try_profile().is_ok());
-        assert!(runner.cached_profile().is_some());
-        // Cached access registers no further Characterize arrivals.
-        let arrivals = plan.arrivals(FaultSite::Characterize);
-        let _ = runner.try_profile().unwrap();
-        assert_eq!(plan.arrivals(FaultSite::Characterize), arrivals);
-    }
-
-    #[test]
     fn faulted_runner_matches_clean_runner_bitwise() {
-        use invmeas_faults::FaultPlan;
+        use invmeas_faults::{Fault, FaultPlan, FaultSite};
 
         // A plan with only latency faults must not change any sampled data.
         let plan = Arc::new(FaultPlan::new(6).on_nth(FaultSite::Exec, 1, Fault::Latency(1)));

@@ -411,6 +411,16 @@ mod tests {
     use qsim::BitString;
 
     #[test]
+    fn resolve_known_devices() {
+        let width = |name: &str| DeviceModel::by_name(name).map(|d| d.n_qubits());
+        assert_eq!(width("ibmqx2"), Some(5));
+        assert_eq!(width("ibmq-melbourne"), Some(14));
+        assert_eq!(width("ideal-7"), Some(7));
+        assert_eq!(width("ideal-0"), None);
+        assert_eq!(width("tokyo"), None);
+    }
+
+    #[test]
     fn table1_ibmqx2_stats() {
         let (min, avg, max) = DeviceModel::ibmqx2().assignment_error_stats();
         assert!((min - 0.012).abs() < 1e-9, "min = {min}");

@@ -44,13 +44,7 @@ fn eval_on(
         let exec = NoisyExecutor::from_device(&dev);
         let mut rng = rng_for(cfg, &format!("suite-{}-{}", machine.name(), bench.name()));
 
-        // AIM profile, built as the paper prescribes: brute force on small
-        // registers, sliding-window AWCT beyond 5 qubits (§6.2.1).
-        let profile = if width <= 5 {
-            RbmsTable::brute_force(&exec, cfg.shots(16_000), &mut rng)
-        } else {
-            RbmsTable::awct(&exec, 4, 2, cfg.shots(16_000), &mut rng)
-        };
+        let profile = RbmsTable::prescribed(&exec, cfg.shots(16_000), &mut rng);
         let sim = StaticInvertMeasure::four_mode(width);
         let aim = AdaptiveInvertMeasure::new(profile);
         let policies: [&dyn MeasurementPolicy; 3] = [&Baseline, &sim, &aim];

@@ -34,35 +34,30 @@ use std::fmt;
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Mitigation policy names on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Standard measurement.
-    Baseline,
-    /// Static Invert-and-Measure.
-    Sim,
-    /// Adaptive Invert-and-Measure (consults the profile cache).
-    Aim,
+/// Mitigation policy names on the wire: the core's
+/// [`PolicyChoice`](invmeas::PolicyChoice), spelled by its `as_str`.
+pub use invmeas::PolicyChoice as PolicyKind;
+
+fn parse_policy(s: &str) -> Result<PolicyKind, ProtocolError> {
+    PolicyKind::parse(s).ok_or_else(|| ProtocolError::new(format!("unknown policy {s:?}")))
 }
 
-impl PolicyKind {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PolicyKind::Baseline => "baseline",
-            PolicyKind::Sim => "sim",
-            PolicyKind::Aim => "aim",
-        }
-    }
+/// The largest trial budget a `submit` or `characterize` request may name.
+/// With gate noise on, trials are drawn one at a time, so an unbounded
+/// budget could hold a worker for hours; a larger request is answered
+/// `400` before it is queued.
+pub const MAX_SHOTS: u64 = 1 << 20;
 
-    fn parse(s: &str) -> Result<Self, ProtocolError> {
-        match s {
-            "baseline" => Ok(PolicyKind::Baseline),
-            "sim" => Ok(PolicyKind::Sim),
-            "aim" => Ok(PolicyKind::Aim),
-            other => Err(ProtocolError::new(format!("unknown policy {other:?}"))),
-        }
+/// The request's `shots` field (or `default`), checked against
+/// [`MAX_SHOTS`].
+fn shots(v: &Json, default: u64) -> Result<u64, ProtocolError> {
+    let shots = opt_u64(v, "shots")?.unwrap_or(default);
+    if shots > MAX_SHOTS {
+        return Err(ProtocolError::new(format!(
+            "shots {shots} exceeds the limit of {MAX_SHOTS}"
+        )));
     }
+    Ok(shots)
 }
 
 /// Characterization technique names on the wire: the core's
@@ -320,8 +315,8 @@ impl Request {
             "submit" => Ok(Request::Submit(SubmitRequest {
                 device: require_str(&v, "device")?.to_string(),
                 qasm: require_str(&v, "qasm")?.to_string(),
-                policy: PolicyKind::parse(opt_str(&v, "policy").unwrap_or("baseline"))?,
-                shots: opt_u64(&v, "shots")?.unwrap_or(4096),
+                policy: parse_policy(opt_str(&v, "policy").unwrap_or("baseline"))?,
+                shots: shots(&v, 4096)?,
                 seed: opt_u64(&v, "seed")?.unwrap_or(2019),
                 expected: opt_str(&v, "expected").map(str::to_string),
                 deadline_ms: opt_u64(&v, "deadline_ms")?,
@@ -330,7 +325,7 @@ impl Request {
             "characterize" => Ok(Request::Characterize(CharacterizeRequest {
                 device: require_str(&v, "device")?.to_string(),
                 method: parse_method(opt_str(&v, "method").unwrap_or("brute"))?,
-                shots: opt_u64(&v, "shots")?.unwrap_or(0),
+                shots: shots(&v, 0)?,
                 fwd: v.get("fwd").and_then(Json::as_bool).unwrap_or(false),
             })),
             "cluster-map" => Ok(Request::ClusterMap {
@@ -755,7 +750,7 @@ impl Response {
                 Ok(Response::Submit(SubmitResponse {
                     device: require_str(&v, "device")?.to_string(),
                     window: require_u64(&v, "window")?,
-                    policy: PolicyKind::parse(require_str(&v, "policy")?)?,
+                    policy: parse_policy(require_str(&v, "policy")?)?,
                     shots: require_u64(&v, "shots")?,
                     total: require_u64(&v, "total")?,
                     distinct: require_u64(&v, "distinct")?,
@@ -1066,6 +1061,14 @@ mod tests {
             (
                 r#"{"op":"submit","device":"x","qasm":"q","policy":"magic"}"#,
                 "unknown policy",
+            ),
+            (
+                r#"{"op":"submit","device":"x","qasm":"q","shots":1048577}"#,
+                "shots 1048577 exceeds the limit of 1048576",
+            ),
+            (
+                r#"{"op":"characterize","device":"x","shots":1048577}"#,
+                "exceeds the limit",
             ),
             (r#"{"op":"set-window"}"#, "needs a window"),
         ] {

@@ -59,7 +59,7 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PushError, ShedClass};
 use crate::replicate::MeshReplicator;
-use invmeas::{PolicyChoice, Runner};
+use invmeas::Runner;
 use invmeas_faults::{Fault, FaultInjector, FaultSite, NetFaultPlan, NoFaults};
 use qmetrics::{CorrectSet, ReliabilityReport, ServiceCounters};
 use qnoise::{CalibrationDrift, DeviceModel};
@@ -98,22 +98,15 @@ pub struct ServerConfig {
     pub drift_threshold: f64,
     /// Optional profile persistence directory.
     pub profile_dir: Option<PathBuf>,
-    /// Upper bound honoured for `sleep` requests.
-    pub max_sleep_ms: u64,
     /// Idle timeout per connection in milliseconds; a client idle (or
     /// hung mid-frame) past this is reaped. 0 disables the reaper.
     pub idle_timeout_ms: u64,
-    /// Write timeout per connection in milliseconds (0 disables) — bounds
-    /// the damage of a client that stops draining its socket.
-    pub write_timeout_ms: u64,
     /// Retries after a transient characterization failure.
     pub retry_limit: u32,
     /// Base backoff between retries in milliseconds (0 = no waiting).
     pub retry_backoff_ms: u64,
     /// Consecutive characterization failures that open a device's breaker.
     pub breaker_failure_threshold: u32,
-    /// Consecutive drift-threshold trips that open a device's breaker.
-    pub breaker_drift_trips: u32,
     /// Degraded serves while open before a half-open probe.
     pub breaker_cooldown: u32,
     /// Fault injector threaded through workers, characterization, profile
@@ -131,16 +124,21 @@ pub struct ServerConfig {
     /// is shared by every retry path on the node: cache characterization
     /// retries, forward-ladder failovers, and replication redials.
     pub retry_budget_tokens: u64,
-    /// Milli-tokens (1/1000ths of a retry) refilled into the budget per
-    /// request arrival. The default `100` couples total retries to ~10%
-    /// of the request rate.
-    pub retry_budget_refill_milli: u64,
-    /// Base per-peer dial backoff after a failed peer call, in
-    /// milliseconds (clustered nodes only).
-    pub dial_backoff_base_ms: u64,
-    /// Cap on the per-peer exponential dial backoff, in milliseconds.
-    pub dial_backoff_cap_ms: u64,
 }
+
+/// Upper bound honoured for `sleep` requests, in milliseconds.
+const MAX_SLEEP_MS: u64 = 5_000;
+/// Write timeout per connection in milliseconds: bounds the damage of a
+/// client that stops draining its socket.
+const WRITE_TIMEOUT_MS: u64 = 10_000;
+/// Milli-tokens (1/1000ths of a retry) refilled into the retry budget per
+/// request arrival: total retries stay near 10% of the request rate.
+const RETRY_BUDGET_REFILL_MILLI: u64 = 100;
+/// Base per-peer dial backoff after a failed peer call, in milliseconds
+/// (clustered nodes only).
+const DIAL_BACKOFF_BASE_MS: u64 = 50;
+/// Cap on the per-peer exponential dial backoff, in milliseconds.
+const DIAL_BACKOFF_CAP_MS: u64 = 2_000;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -155,21 +153,15 @@ impl Default for ServerConfig {
             drift_seed: 0x1b3_5de7,
             drift_threshold: 0.0,
             profile_dir: None,
-            max_sleep_ms: 5_000,
             idle_timeout_ms: 30_000,
-            write_timeout_ms: 10_000,
             retry_limit: 2,
             retry_backoff_ms: 25,
             breaker_failure_threshold: 3,
-            breaker_drift_trips: 4,
             breaker_cooldown: 4,
             faults: Arc::new(NoFaults),
             cluster: None,
             net_faults: None,
             retry_budget_tokens: 10,
-            retry_budget_refill_milli: 100,
-            dial_backoff_base_ms: 50,
-            dial_backoff_cap_ms: 2_000,
         }
     }
 }
@@ -376,13 +368,13 @@ impl Server {
         };
         let retry_budget = Arc::new(RetryBudget::new(
             config.retry_budget_tokens,
-            config.retry_budget_refill_milli,
+            RETRY_BUDGET_REFILL_MILLI,
         ));
         let dial_gate = config.cluster.as_ref().map(|cl| {
             Arc::new(DialGate::new(
                 cl.members.len(),
-                Duration::from_millis(config.dial_backoff_base_ms),
-                Duration::from_millis(config.dial_backoff_cap_ms.max(1)),
+                Duration::from_millis(DIAL_BACKOFF_BASE_MS),
+                Duration::from_millis(DIAL_BACKOFF_CAP_MS),
                 config.profile_seed,
             ))
         });
@@ -400,8 +392,8 @@ impl Server {
         })
         .with_breaker(BreakerConfig {
             failure_threshold: config.breaker_failure_threshold,
-            drift_trip_threshold: config.breaker_drift_trips,
             cooldown: config.breaker_cooldown,
+            ..BreakerConfig::default()
         })
         .with_retry_budget(Arc::clone(&retry_budget));
         if let Some(cl) = cluster.as_ref() {
@@ -1015,7 +1007,7 @@ fn serve_event_loop(listener: &TcpListener, state: &Arc<State>) -> std::io::Resu
     poller.register(listener, LISTENER_TOKEN, Interest::READ)?;
     poller.register(&wake_rx, WAKER_TOKEN, Interest::READ)?;
     let scan_tick = {
-        let timeouts = [state.config.idle_timeout_ms, state.config.write_timeout_ms];
+        let timeouts = [state.config.idle_timeout_ms, WRITE_TIMEOUT_MS];
         timeouts
             .iter()
             .filter(|&&ms| ms > 0)
@@ -1311,7 +1303,7 @@ impl EventLoop<'_> {
     /// reading, it did not idle).
     fn reap(&mut self, now: Instant) {
         let idle = Duration::from_millis(self.state.config.idle_timeout_ms);
-        let stall = Duration::from_millis(self.state.config.write_timeout_ms);
+        let stall = Duration::from_millis(WRITE_TIMEOUT_MS);
         let mut dead: Vec<(u64, bool)> = Vec::new();
         for (token, conn) in &self.conns {
             if self.state.config.idle_timeout_ms > 0
@@ -1319,10 +1311,7 @@ impl EventLoop<'_> {
                 && now.duration_since(conn.last_activity) >= idle
             {
                 dead.push((*token, true));
-            } else if self.state.config.write_timeout_ms > 0
-                && conn.wants_write()
-                && now.duration_since(conn.last_activity) >= stall
-            {
+            } else if conn.wants_write() && now.duration_since(conn.last_activity) >= stall {
                 dead.push((*token, false));
             }
         }
@@ -1422,7 +1411,7 @@ fn cache_error_response(e: CacheError) -> Response {
 fn execute_job(state: &State, kind: &JobKind, enqueued: Instant) -> Response {
     match kind {
         JobKind::Sleep { ms } => {
-            let ms = (*ms).min(state.config.max_sleep_ms);
+            let ms = (*ms).min(MAX_SLEEP_MS);
             std::thread::sleep(std::time::Duration::from_millis(ms));
             Response::Slept { ms }
         }
@@ -1539,36 +1528,28 @@ fn submit_local(state: &State, r: &SubmitRequest) -> Response {
         .with_seed(r.seed)
         .with_threads(state.config.exec_threads)
         .with_faults(Arc::clone(&state.faults));
-    let (choice, cache_outcome) = match r.policy {
-        PolicyKind::Baseline => (PolicyChoice::Baseline, CacheOutcome::None),
-        PolicyKind::Sim => (PolicyChoice::Sim, CacheOutcome::None),
-        PolicyKind::Aim => {
-            // AIM's profile comes from the shared cache, never measured
-            // per-request — the whole point of the service (§6.2.1).
-            let method = if n <= 5 {
-                MethodKind::Brute
-            } else {
-                MethodKind::Awct
-            };
-            let window_snapshot = runner.device().clone();
-            match state.cache.get_or_measure(
-                &r.device,
-                &window_snapshot,
-                window,
-                method,
-                state.config.profile_shots,
-            ) {
-                Ok((table, outcome)) => {
-                    count_cache_outcome(state, outcome);
-                    runner.set_profile(table);
-                    (PolicyChoice::Aim, outcome)
-                }
-                Err(e) => return cache_error_response(e),
+    let mut cache_outcome = CacheOutcome::None;
+    if r.policy == PolicyKind::Aim {
+        // AIM's profile comes from the shared cache, never measured
+        // per-request — the whole point of the service (§6.2.1).
+        let window_snapshot = runner.device().clone();
+        match state.cache.get_or_measure(
+            &r.device,
+            &window_snapshot,
+            window,
+            MethodKind::for_width(n),
+            state.config.profile_shots,
+        ) {
+            Ok((table, outcome)) => {
+                count_cache_outcome(state, outcome);
+                runner.set_profile(table);
+                cache_outcome = outcome;
             }
+            Err(e) => return cache_error_response(e),
         }
-    };
+    }
 
-    let log = runner.run(choice, &circuit, r.shots);
+    let log = runner.run(r.policy, &circuit, r.shots);
     let ranked = log.ranked();
     let distinct = ranked.len() as u64;
     let counts: Vec<(String, u64)> = ranked

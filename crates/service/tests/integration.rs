@@ -284,6 +284,17 @@ fn protocol_errors_over_the_wire() {
     reader.read_line(&mut line).expect("read");
     assert!(line.contains("\"op\":\"status\""), "{line}");
 
+    // An unknown policy spelling is refused by the parser.
+    stream
+        .write_all(
+            b"{\"op\":\"submit\",\"device\":\"ibmqx4\",\"qasm\":\"q\",\"policy\":\"magic\"}\n",
+        )
+        .expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.contains("\"code\":400"), "{line}");
+    assert!(line.contains("unknown policy"), "{line}");
+
     // Unknown device and bad QASM surface as 400s, not hangs.
     let mut client = Client::connect(addr).expect("connect");
     client
@@ -324,7 +335,39 @@ fn protocol_errors_over_the_wire() {
         other => panic!("wrong response {other:?}"),
     }
 
-    shutdown(addr, handle);
+    // A shot budget over the cap is refused before it can hold a worker.
+    let over_cap = invmeas_service::protocol::MAX_SHOTS + 1;
+    let huge_submit = Request::Submit(SubmitRequest {
+        device: "ibmqx4".into(),
+        qasm: qasm_5q(),
+        policy: PolicyKind::Baseline,
+        shots: over_cap,
+        seed: 1,
+        expected: None,
+        deadline_ms: None,
+        fwd: false,
+    });
+    let huge_characterize = Request::Characterize(CharacterizeRequest {
+        device: "ibmqx4".into(),
+        method: MethodKind::Brute,
+        shots: over_cap,
+        fwd: false,
+    });
+    for req in [huge_submit, huge_characterize] {
+        match client.request(&req).expect("response") {
+            Response::Error { code, message } => {
+                assert_eq!(code, 400);
+                assert!(message.contains("exceeds the limit"), "{message}");
+            }
+            other => panic!("wrong response {other:?}"),
+        }
+    }
+
+    // Only the unknown-device and bad-QASM jobs reached a worker; each
+    // answered a client error, so none counts as failed.
+    let counters = shutdown(addr, handle);
+    assert_eq!(counters.jobs_failed, 0);
+    assert_eq!(counters.jobs_executed, 2);
 }
 
 /// A characterization beyond its technique's width limit (ESCT beyond
