@@ -35,6 +35,14 @@
 //! (the process died mid-checkpoint) is detected and the partial line
 //! discarded — that unit simply re-runs.
 //!
+//! The journal is read by the workspace's one line reader,
+//! [`invmeas_faults::LineReader`], which checks the version line, reads
+//! the `key value` header lines and names the line of any
+//! [`LineError`]; this module owns only the `unit` line grammar, and stops
+//! at the first line that is not an intact `unit` line. Every rewrite of
+//! the file (resume compaction, an installed replica) goes through a
+//! `.tmp` sibling and an atomic rename.
+//!
 //! The [`FaultSite::JournalWrite`] hook fires once per checkpoint append,
 //! letting chaos tests kill (`Panic`), tear (`Torn`), or fail (`Error`)
 //! the journal mid-run and then assert byte-identical recovery.
@@ -50,8 +58,9 @@
 //! producing a profile reproducible under *neither* binary.
 
 use crate::checksum::crc32;
+use crate::profile_io::{replace_file, sanitize_token};
 use crate::rbms::RbmsTable;
-use invmeas_faults::{Fault, FaultInjector, FaultSite, NoFaults};
+use invmeas_faults::{Fault, FaultInjector, FaultSite, LineError, LineReader, NoFaults};
 use qnoise::Executor;
 use qsim::{BitString, Circuit, Counts};
 use rand::rngs::StdRng;
@@ -258,13 +267,6 @@ impl CharSpec {
     }
 }
 
-/// Tokens in the line-oriented format must not contain whitespace.
-fn sanitize_token(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect()
-}
-
 /// Where a [`characterize`] run checkpoints its units, and what it
 /// consults and notifies along the way. Only a journaled run needs these.
 #[derive(Clone, Copy)]
@@ -405,11 +407,15 @@ fn parse_unit_line(line: &str) -> Option<(usize, UnitResult)> {
 }
 
 /// Inspects exported journal text: returns the header spec and the
-/// number of intact unit lines, or `None` when the header is unusable
-/// (wrong version, damaged, or not a journal at all). This is the
-/// receive-side validation for journal handoff between nodes — a
-/// follower should refuse to install text that does not inspect.
-pub fn inspect_journal(text: &str) -> Option<(CharSpec, u64)> {
+/// number of intact unit lines. This is the receive-side validation for
+/// journal handoff between nodes — a follower should refuse to install
+/// text that does not inspect.
+///
+/// # Errors
+///
+/// A [`LineError`] naming the line and the reason when the header is
+/// unusable: wrong version, damaged, or not a journal at all.
+pub fn inspect_journal(text: &str) -> Result<(CharSpec, u64), LineError> {
     load_journal(text).map(|(spec, units)| (spec, units.len() as u64))
 }
 
@@ -435,61 +441,42 @@ pub fn export_journal(path: &Path) -> std::io::Result<Option<String>> {
 ///
 /// # Errors
 ///
-/// `InvalidData` when the text fails inspection; otherwise I/O failures.
+/// `InvalidData` naming the line and the reason when the text fails
+/// inspection; otherwise I/O failures.
 pub fn install_journal(path: &Path, text: &str) -> std::io::Result<u64> {
-    let Some((_, units)) = inspect_journal(text) else {
-        return Err(std::io::Error::new(
+    let (_, units) = inspect_journal(text).map_err(|e| {
+        std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            "journal text failed inspection",
-        ));
-    };
-    let tmp = {
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(".tmp");
-        path.with_file_name(name)
-    };
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)?;
+            format!("journal text failed inspection at {e}"),
+        )
+    })?;
+    replace_file(path, |file| file.write_all(text.as_bytes()))?;
     Ok(units)
 }
 
 /// Parses a journal file: the header spec plus every intact unit line.
-/// Stops (without erroring) at the first torn or garbled unit line.
-/// Returns `None` when the header itself is unusable — the journal
-/// belongs to some other run or is damaged beyond trust, so the caller
-/// starts fresh.
-fn load_journal(text: &str) -> Option<(CharSpec, Vec<(usize, UnitResult)>)> {
-    let mut lines = text.lines();
-    if lines.next()?.trim() != JOURNAL_VERSION_LINE {
-        return None;
-    }
-    let mut field = |prefix: &str| -> Option<String> {
-        Some(lines.next()?.trim().strip_prefix(prefix)?.to_string())
-    };
-    let device = field("device ")?;
-    let method = CharMethod::parse(&field("method ")?)?;
-    let width: usize = field("width ")?.parse().ok()?;
-    let window: usize = field("window ")?.parse().ok()?;
-    let overlap: usize = field("overlap ")?.parse().ok()?;
-    let shots: u64 = field("shots ")?.parse().ok()?;
-    let seed: u64 = field("seed ")?.parse().ok()?;
+/// Stops (without erroring) at the first line that is not an intact
+/// `unit` line: that is the torn tail. Fails when the header itself is
+/// unusable — the journal belongs to some other run or is damaged beyond
+/// trust, so the caller starts fresh.
+fn load_journal(text: &str) -> Result<(CharSpec, Vec<(usize, UnitResult)>), LineError> {
+    let (_, mut lines) = LineReader::open(text, "journal", &[JOURNAL_VERSION_LINE])?;
+    let device = lines.field("device")?;
+    let method: String = lines.field("method")?;
+    let method = CharMethod::parse(&method)
+        .ok_or_else(|| lines.error(format!("unknown method {method:?}")))?;
     let spec = CharSpec {
         device,
         method,
-        width,
-        window,
-        overlap,
-        shots,
-        seed,
+        width: lines.field("width")?,
+        window: lines.field("window")?,
+        overlap: lines.field("overlap")?,
+        shots: lines.field("shots")?,
+        seed: lines.field("seed")?,
     };
-    let mut units = Vec::new();
-    for line in lines {
-        match parse_unit_line(line.trim_end()) {
-            Some(unit) => units.push(unit),
-            None => break, // torn tail: that unit (and anything after) re-runs
-        }
-    }
-    Some((spec, units))
+    // Torn tail: that unit (and anything after) re-runs.
+    let units = lines.map_while(|(_, line)| parse_unit_line(line)).collect();
+    Ok((spec, units))
 }
 
 /// Appends one checkpoint line, consulting [`FaultSite::JournalWrite`].
@@ -787,7 +774,7 @@ fn run_units(
     // Resume: replay intact units from a matching in-flight journal.
     if let Some(j) = journal {
         if let Ok(text) = std::fs::read_to_string(j.path) {
-            if let Some((found_spec, units)) = load_journal(&text) {
+            if let Ok((found_spec, units)) = load_journal(&text) {
                 if found_spec == *spec {
                     for (idx, pairs) in units {
                         if idx < total && completed[idx].is_none() {
@@ -810,13 +797,7 @@ fn run_units(
                     text.push_str(&unit_line(idx, pairs));
                 }
             }
-            let tmp = {
-                let mut name = j.path.file_name().unwrap_or_default().to_os_string();
-                name.push(".tmp");
-                j.path.with_file_name(name)
-            };
-            std::fs::write(&tmp, &text)?;
-            std::fs::rename(&tmp, j.path)?;
+            replace_file(j.path, |file| file.write_all(text.as_bytes()))?;
             Some((OpenOptions::new().append(true).open(j.path)?, j))
         }
         None => None,
@@ -1096,15 +1077,65 @@ mod tests {
         let err = install_journal(&path, "not a journal at all").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(!path.exists(), "refused text must not land on disk");
-        assert!(
-            inspect_journal("charjournal v1\ndevice x").is_none(),
-            "old version refused"
+        // Header rejections, each with the line it names.
+        let header =
+            "charjournal v2\ndevice x\nmethod brute\nwidth 5\nwindow 0\noverlap 0\nshots 8";
+        let cases = [
+            ("", 1, "empty journal"),
+            ("not a journal at all", 1, "bad header"),
+            (
+                "charjournal v1\ndevice x",
+                1,
+                "bad header \"charjournal v1\"",
+            ),
+            ("charjournal v2", 2, "missing device"),
+            ("charjournal v2\nmethod brute", 2, "bad device line"),
+            (
+                "charjournal v2\ndevice x\nmethod magic",
+                3,
+                "unknown method",
+            ),
+            (
+                "charjournal v2\ndevice x\nmethod brute\nwidth five",
+                4,
+                "bad width line",
+            ),
+            (header, 8, "missing seed"),
+        ];
+        for (text, line, expect) in cases {
+            let err = inspect_journal(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.message.contains(expect), "{text:?}: {err}");
+        }
+        let err = install_journal(&path, "charjournal v1\ndevice x").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "journal text failed inspection at line 1: bad header \"charjournal v1\""
         );
+        // A whole header with no units, or only a torn tail, inspects.
+        let (_, units) = inspect_journal(&format!("{header}\nseed 1\nunit 0 zz")).unwrap();
+        assert_eq!(units, 0);
         assert_eq!(
             export_journal(&path).unwrap(),
             None,
             "absent journal exports None"
         );
+    }
+
+    #[test]
+    fn failed_install_leaves_no_temp_file() {
+        // The rename fails: the final path is a non-empty directory.
+        let dir =
+            std::env::temp_dir().join(format!("invmeas-journal-install-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("key.journal").join("occupied")).unwrap();
+        let text = CharSpec::new(CharMethod::Brute, "ibmqx4", 5, 8, 1).header();
+        assert!(install_journal(&dir.join("key.journal"), &text).is_err());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["key.journal"], "temp sibling left behind");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -28,12 +28,22 @@
 //! existing `v1` files still load (with no metadata). Profiles that
 //! fail the checksum or validation are never deleted — callers quarantine
 //! them aside with [`quarantine_profile`] for post-mortem inspection.
+//!
+//! Both formats are read by the workspace's one line reader,
+//! [`invmeas_faults::LineReader`]: it checks the header, numbers the
+//! lines and reads the fixed `key value` lines, and its
+//! [`LineError`] is what [`ProfileError::Parse`] carries. This module
+//! owns the record grammar: the `v2` footer is verified before any other
+//! line is read, and the table body skips blank lines only. Every file
+//! the crate replaces on disk (profiles, installed replicas, journals) is
+//! written through one `.tmp`-sibling-and-rename helper.
 
 use crate::checksum::crc32;
 use crate::rbms::RbmsTable;
-use invmeas_faults::{Fault, FaultInjector, FaultSite};
+use invmeas_faults::{Fault, FaultInjector, FaultSite, LineError, LineReader};
 use qsim::BitString;
 use std::fmt;
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -79,12 +89,7 @@ pub enum ProfileError {
     /// Underlying I/O failure.
     Io(std::io::Error),
     /// The text is not a valid profile.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
+    Parse(LineError),
     /// A `v2` profile's CRC32 footer disagrees with its content — the file
     /// was bit-rotted, truncated, or tampered with after it was written.
     Checksum {
@@ -99,9 +104,7 @@ impl fmt::Display for ProfileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProfileError::Io(e) => write!(f, "profile i/o error: {e}"),
-            ProfileError::Parse { line, message } => {
-                write!(f, "profile parse error at line {line}: {message}")
-            }
+            ProfileError::Parse(e) => write!(f, "profile parse error at {e}"),
             ProfileError::Checksum { expected, found } => write!(
                 f,
                 "profile checksum mismatch: footer says {expected:08x}, content hashes to {found:08x}"
@@ -114,7 +117,7 @@ impl std::error::Error for ProfileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProfileError::Io(e) => Some(e),
-            ProfileError::Parse { .. } | ProfileError::Checksum { .. } => None,
+            ProfileError::Parse(_) | ProfileError::Checksum { .. } => None,
         }
     }
 }
@@ -125,15 +128,15 @@ impl From<std::io::Error> for ProfileError {
     }
 }
 
-fn parse_err(line: usize, message: impl Into<String>) -> ProfileError {
-    ProfileError::Parse {
-        line,
-        message: message.into(),
+impl From<LineError> for ProfileError {
+    fn from(e: LineError) -> Self {
+        ProfileError::Parse(e)
     }
 }
 
-/// Header tokens must stay single-line and whitespace-free.
-fn sanitize_token(s: &str) -> String {
+/// Header tokens (of profiles and journals) must stay single-line and
+/// whitespace-free.
+pub(crate) fn sanitize_token(s: &str) -> String {
     s.chars()
         .map(|c| if c.is_whitespace() { '_' } else { c })
         .collect()
@@ -169,15 +172,22 @@ impl RbmsTable {
     /// malformed input, or [`ProfileError::Checksum`] when a `v2` footer
     /// disagrees with the content.
     pub fn from_text(text: &str) -> Result<(RbmsTable, Option<ProfileMeta>), ProfileError> {
-        let header = text
-            .lines()
-            .next()
-            .ok_or_else(|| parse_err(1, "empty profile"))?;
-        match header.trim() {
-            "rbms v1" => Ok((parse_v1(text)?, None)),
-            "rbms v2" => parse_v2(text).map(|(t, m)| (t, Some(m))),
-            _ => Err(parse_err(1, format!("bad header {header:?}"))),
-        }
+        let (version, mut lines) = LineReader::open(text, "profile", &["rbms v1", "rbms v2"])?;
+        let meta = if version == 0 {
+            None
+        } else {
+            // The footer first: a rotten file must fail the integrity
+            // check before any of its content is trusted. Then re-read
+            // the verified body alone, so the table ends at the footer.
+            (_, lines) = LineReader::open(verified_body(text)?, "profile", &["rbms v2"])?;
+            Some(ProfileMeta {
+                device: lines.field("device")?,
+                method: lines.field("method")?,
+                seed: lines.field("seed")?,
+                window: lines.field("window")?,
+            })
+        };
+        Ok((parse_table(lines)?, meta))
     }
 
     /// Writes the profile to a file in the `v2` format, crash-safely, with
@@ -211,9 +221,7 @@ impl RbmsTable {
             }
         }
         let text = self.to_text(meta);
-        let tmp = tmp_sibling(path);
-        let result = (|| -> Result<(), ProfileError> {
-            let mut file = std::fs::File::create(&tmp)?;
+        replace_file(path, |file| {
             if matches!(fault, Some(Fault::Torn)) {
                 // A torn write: some bytes land in the temp file, then the
                 // device gives up. The final path must never see them.
@@ -225,14 +233,8 @@ impl RbmsTable {
             }
             file.write_all(text.as_bytes())?;
             file.sync_all().ok();
-            drop(file);
-            std::fs::rename(&tmp, path)?;
             Ok(())
-        })();
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result
+        })
     }
 
     /// Loads a profile (either format) plus its `v2` metadata (`None` for
@@ -269,32 +271,22 @@ impl RbmsTable {
     }
 }
 
-/// Parses the legacy `v1` format.
-fn parse_v1(text: &str) -> Result<RbmsTable, ProfileError> {
-    let mut lines = text.lines().enumerate();
-    lines.next(); // header, already matched by the dispatcher
-    let (_, width_line) = lines.next().ok_or_else(|| parse_err(2, "missing width"))?;
-    let width = parse_width(width_line, 2)?;
-    let (_, trials_line) = lines.next().ok_or_else(|| parse_err(3, "missing trials"))?;
-    let trials = parse_trials(trials_line, 3)?;
-    build_table(width, trials, 3, lines)
-}
-
-/// Parses the `v2` format: checksum footer first (a rotten file must fail
-/// the integrity check before any of its content is trusted), then the
-/// metadata header, then the shared body.
-fn parse_v2(text: &str) -> Result<(RbmsTable, ProfileMeta), ProfileError> {
+/// The part of a `v2` text that its CRC32 footer covers, once the footer
+/// checks out.
+fn verified_body(text: &str) -> Result<&str, ProfileError> {
     let line_count = text.lines().count();
     let footer_start = text
         .rfind("\ncrc32 ")
         .map(|i| i + 1)
-        .ok_or_else(|| parse_err(line_count.max(1), "missing crc32 footer"))?;
+        .ok_or_else(|| LineError::new(line_count.max(1), "missing crc32 footer"))?;
     let (body, footer) = text.split_at(footer_start);
     let stored = footer
         .trim()
         .strip_prefix("crc32 ")
         .and_then(|h| u32::from_str_radix(h.trim(), 16).ok())
-        .ok_or_else(|| parse_err(line_count, format!("bad crc32 footer {:?}", footer.trim())))?;
+        .ok_or_else(|| {
+            LineError::new(line_count, format!("bad crc32 footer {:?}", footer.trim()))
+        })?;
     let found = crc32(body.as_bytes());
     if found != stored {
         return Err(ProfileError::Checksum {
@@ -302,107 +294,30 @@ fn parse_v2(text: &str) -> Result<(RbmsTable, ProfileMeta), ProfileError> {
             found,
         });
     }
-
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, already matched by the dispatcher
-    let mut meta_field = |prefix: &str, lineno: usize| -> Result<String, ProfileError> {
-        let (_, line) = lines
-            .next()
-            .ok_or_else(|| parse_err(lineno, format!("missing {}", prefix.trim())))?;
-        line.trim()
-            .strip_prefix(prefix)
-            .map(str::to_string)
-            .ok_or_else(|| parse_err(lineno, format!("bad {} line {line:?}", prefix.trim())))
-    };
-    let device = meta_field("device ", 2)?;
-    let method = meta_field("method ", 3)?;
-    let seed: u64 = meta_field("seed ", 4)?
-        .parse()
-        .map_err(|_| parse_err(4, "bad seed"))?;
-    let window: usize = meta_field("window ", 5)?
-        .parse()
-        .map_err(|_| parse_err(5, "bad window"))?;
-    let (_, width_line) = lines.next().ok_or_else(|| parse_err(6, "missing width"))?;
-    let width = parse_width(width_line, 6)?;
-    let (_, trials_line) = lines.next().ok_or_else(|| parse_err(7, "missing trials"))?;
-    let trials = parse_trials(trials_line, 7)?;
-    let table = build_table(width, trials, 7, lines)?;
-    Ok((
-        table,
-        ProfileMeta {
-            device,
-            method,
-            seed,
-            window,
-        },
-    ))
+    Ok(body)
 }
 
-fn parse_width(line: &str, lineno: usize) -> Result<usize, ProfileError> {
-    let width: usize = line
-        .trim()
-        .strip_prefix("width ")
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(|| parse_err(lineno, format!("bad width line {line:?}")))?;
+/// Parses the `width`/`trials` lines and the table body shared by both
+/// formats, and constructs the table through the validating constructor.
+/// Only blank lines are skipped in the body.
+fn parse_table(mut lines: LineReader<'_>) -> Result<RbmsTable, LineError> {
+    let width: usize = lines.field("width")?;
     if width == 0 || width > 20 {
-        return Err(parse_err(lineno, format!("unsupported width {width}")));
+        return Err(lines.error(format!("unsupported width {width}")));
     }
-    Ok(width)
-}
-
-fn parse_trials(line: &str, lineno: usize) -> Result<u64, ProfileError> {
-    line.trim()
-        .strip_prefix("trials ")
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| parse_err(lineno, format!("bad trials line {line:?}")))
-}
-
-/// Parses the table body shared by both formats and constructs the table
-/// through the validating constructor. `lines` yields `(0-based index in
-/// the original text, line)`; `header_lines` is the 1-based number of the
-/// last header line (for errors on an empty body).
-fn build_table<'a>(
-    width: usize,
-    trials: u64,
-    header_lines: usize,
-    lines: impl Iterator<Item = (usize, &'a str)>,
-) -> Result<RbmsTable, ProfileError> {
+    let trials: u64 = lines.field("trials")?;
     let mut strengths = vec![f64::NAN; 1usize << width];
-    let mut seen = 0usize;
-    let mut last_line = header_lines;
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        last_line = lineno;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    for (lineno, line) in &mut lines {
+        if !line.is_empty() {
+            add_row(&mut strengths, width, line).map_err(|m| LineError::new(lineno, m))?;
         }
-        let (state, value) = line
-            .split_once(' ')
-            .ok_or_else(|| parse_err(lineno, format!("malformed entry {line:?}")))?;
-        let s: BitString = state
-            .parse()
-            .map_err(|e| parse_err(lineno, format!("bad state {state:?}: {e}")))?;
-        if s.width() != width {
-            return Err(parse_err(lineno, format!("state {state} has wrong width")));
-        }
-        let v: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| parse_err(lineno, format!("bad strength {value:?}")))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(parse_err(lineno, format!("invalid strength {v}")));
-        }
-        if !strengths[s.index()].is_nan() {
-            return Err(parse_err(lineno, format!("duplicate entry for {state}")));
-        }
-        strengths[s.index()] = v;
-        seen += 1;
     }
+    let seen = strengths.iter().filter(|v| !v.is_nan()).count();
     // The width header is a promise about the table body: a declared
     // width of `w` requires exactly `2^w` rows. Truncated or padded
     // files (the common corruption when profiles are copied around)
-    // must be rejected, not silently zero/NaN-filled.
+    // must be rejected, not silently zero/NaN-filled. Both checks name
+    // the last line read.
     if seen != strengths.len() {
         let first_missing = strengths
             .iter()
@@ -410,26 +325,63 @@ fn build_table<'a>(
             .map(|i| BitString::from_value(i as u64, width))
             .map(|s| format!("; first missing {s}"))
             .unwrap_or_default();
-        return Err(parse_err(
-            last_line,
-            format!(
-                "width {width} declares {} table rows, found {seen}{first_missing}",
-                strengths.len()
-            ),
-        ));
+        return Err(lines.error(format!(
+            "width {width} declares {} table rows, found {seen}{first_missing}",
+            strengths.len()
+        )));
     }
-    let mut table = RbmsTable::try_from_strengths(width, strengths)
-        .map_err(|e| parse_err(last_line, e.to_string()))?;
+    let mut table =
+        RbmsTable::try_from_strengths(width, strengths).map_err(|e| lines.error(e.to_string()))?;
     table.set_trials_used(trials);
     Ok(table)
 }
 
-/// A `.tmp` sibling of `path`, in the same directory so the final rename
-/// never crosses a filesystem boundary.
-fn tmp_sibling(path: &Path) -> PathBuf {
+/// Parses one `state strength` table row into its slot.
+fn add_row(strengths: &mut [f64], width: usize, line: &str) -> Result<(), String> {
+    let (state, value) = line
+        .split_once(' ')
+        .ok_or_else(|| format!("malformed entry {line:?}"))?;
+    let s: BitString = state
+        .parse()
+        .map_err(|e| format!("bad state {state:?}: {e}"))?;
+    if s.width() != width {
+        return Err(format!("state {state} has wrong width"));
+    }
+    let v: f64 = value
+        .trim()
+        .parse()
+        .map_err(|_| format!("bad strength {value:?}"))?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(format!("invalid strength {v}"));
+    }
+    let slot = &mut strengths[s.index()];
+    if !slot.is_nan() {
+        return Err(format!("duplicate entry for {state}"));
+    }
+    *slot = v;
+    Ok(())
+}
+
+/// Replaces `path` with what `write` puts in a `.tmp` sibling in the same
+/// directory, renamed over `path` once `write` succeeds, so a crash or a
+/// failure mid-write leaves the old file (or none) at `path`, never a
+/// partial one. On any failure the sibling is removed. Nothing is synced
+/// here: `write` syncs the file if it must.
+pub(crate) fn replace_file<E: From<std::io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> Result<(), E>,
+) -> Result<(), E> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
-    path.with_file_name(name)
+    let tmp = path.with_file_name(name);
+    let result = File::create(&tmp)
+        .map_err(E::from)
+        .and_then(|mut file| write(&mut file))
+        .and_then(|()| std::fs::rename(&tmp, path).map_err(E::from));
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// Installs profile text received over the wire from another node.
@@ -457,21 +409,10 @@ pub fn install_profile_text(
 ) -> Result<(RbmsTable, ProfileMeta), ProfileError> {
     let (table, meta) = RbmsTable::from_text(text)?;
     let Some(meta) = meta else {
-        return Err(parse_err(
-            1,
-            "replicated profiles must be rbms v2 (checksummed)",
-        ));
+        return Err(LineError::new(1, "replicated profiles must be rbms v2 (checksummed)").into());
     };
-    let tmp = tmp_sibling(path);
-    let result = (|| -> Result<(), ProfileError> {
-        std::fs::write(&tmp, text.as_bytes())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    result.map(|()| (table, meta))
+    replace_file(path, |file| file.write_all(text.as_bytes()))?;
+    Ok((table, meta))
 }
 
 /// Moves a damaged profile aside for post-mortem inspection: `path` is
@@ -708,27 +649,107 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The line a [`ProfileError::Parse`] names.
+    fn parse_line(err: &ProfileError) -> usize {
+        match err {
+            ProfileError::Parse(e) => e.line,
+            other => panic!("not a parse error: {other}"),
+        }
+    }
+
+    /// `body` with a valid `v2` checksum footer appended.
+    fn with_footer(body: &str) -> String {
+        format!("{body}crc32 {:08x}\n", crc32(body.as_bytes()))
+    }
+
     #[test]
     fn parse_errors_name_lines() {
         let cases = [
-            ("", "empty profile"),
-            ("nope", "bad header"),
-            ("rbms v1\nwidth x", "bad width"),
-            ("rbms v1\nwidth 1\ntrials q", "bad trials"),
-            ("rbms v1\nwidth 1\ntrials 0\n00 1.0\n01 0.5", "wrong width"),
-            ("rbms v1\nwidth 1\ntrials 0\n0garbage", "malformed entry"),
-            ("rbms v1\nwidth 1\ntrials 0\n0 abc\n1 0.5", "bad strength"),
+            ("".to_string(), 1, "empty profile"),
+            ("nope".to_string(), 1, "bad header"),
+            ("rbms v1".to_string(), 2, "missing width"),
+            ("rbms v1\nwidth x".to_string(), 2, "bad width"),
+            ("rbms v1\nwidth 0".to_string(), 2, "unsupported width"),
+            ("rbms v1\nwidth 1".to_string(), 3, "missing trials"),
+            ("rbms v1\nwidth 1\ntrials q".to_string(), 3, "bad trials"),
+            (
+                "rbms v1\nwidth 1\ntrials 0\n00 1.0\n01 0.5".to_string(),
+                4,
+                "wrong width",
+            ),
+            (
+                "rbms v1\nwidth 1\ntrials 0\n0garbage".to_string(),
+                4,
+                "malformed entry",
+            ),
+            (
+                "rbms v1\nwidth 1\ntrials 0\n0 abc\n1 0.5".to_string(),
+                4,
+                "bad strength",
+            ),
+            (
+                "rbms v1\nwidth 1\ntrials 0\n0 1.0\n1 -0.5".to_string(),
+                5,
+                "invalid strength",
+            ),
+            // Count errors name the last line read, blank ones included,
+            // or the last header line when the body is empty.
+            (
+                "rbms v1\nwidth 1\ntrials 10\n0 1.0\n\n".to_string(),
+                5,
+                "found 1",
+            ),
+            ("rbms v1\nwidth 1\ntrials 10".to_string(), 3, "found 0"),
+            // v2: the footer is checked first, then the metadata lines.
+            ("rbms v2\ndevice d\n".to_string(), 2, "missing crc32 footer"),
+            (
+                "rbms v2\ndevice d\ncrc32 zz\n".to_string(),
+                3,
+                "bad crc32 footer",
+            ),
+            (with_footer("rbms v2\n"), 2, "missing device"),
+            (with_footer("rbms v2\nmethod brute\n"), 2, "bad device"),
+            (
+                with_footer("rbms v2\ndevice d\nmethod m\nseed x\n"),
+                4,
+                "bad seed",
+            ),
+            (
+                with_footer("rbms v2\ndevice d\nmethod m\nseed 1\nwindow w\n"),
+                5,
+                "bad window",
+            ),
+            (
+                with_footer("rbms v2\ndevice d\nmethod m\nseed 1\nwindow 0\n"),
+                6,
+                "missing width",
+            ),
+            (
+                with_footer("rbms v2\ndevice d\nmethod m\nseed 1\nwindow 0\nwidth 1\n"),
+                7,
+                "missing trials",
+            ),
+            (
+                with_footer(
+                    "rbms v2\ndevice d\nmethod m\nseed 1\nwindow 0\nwidth 1\ntrials 2\n0 1.0\n",
+                ),
+                8,
+                "found 1",
+            ),
         ];
-        for (text, expect) in cases {
-            let err = RbmsTable::from_text(text).unwrap_err().to_string();
-            assert!(err.contains(expect), "{text:?}: {err}");
+        for (text, line, expect) in &cases {
+            let err = RbmsTable::from_text(text).unwrap_err();
+            assert_eq!(parse_line(&err), *line, "{text:?}: {err}");
+            assert!(err.to_string().contains(expect), "{text:?}: {err}");
         }
         // Width-1 states are "0" and "1".
         let good = "rbms v1\nwidth 1\ntrials 10\n0 1.0\n1 0.25";
         assert!(RbmsTable::from_text(good).is_ok());
         // Missing entry, naming the first absent state.
         let missing = "rbms v1\nwidth 1\ntrials 10\n0 1.0";
-        let err = RbmsTable::from_text(missing).unwrap_err().to_string();
+        let err = RbmsTable::from_text(missing).unwrap_err();
+        assert_eq!(parse_line(&err), 4);
+        let err = err.to_string();
         assert!(
             err.contains("width 1 declares 2 table rows, found 1"),
             "{err}"
@@ -736,12 +757,20 @@ mod tests {
         assert!(err.contains("first missing 1"), "{err}");
         // Duplicate entry.
         let dup = "rbms v1\nwidth 1\ntrials 10\n0 1.0\n0 1.0";
-        let err = RbmsTable::from_text(dup).unwrap_err().to_string();
-        assert!(err.contains("duplicate"), "{err}");
+        let err = RbmsTable::from_text(dup).unwrap_err();
+        assert_eq!(parse_line(&err), 5);
+        assert!(err.to_string().contains("duplicate"), "{err}");
         // An all-zero body parses row-by-row but fails table validation.
         let zeros = "rbms v1\nwidth 1\ntrials 10\n0 0.0\n1 0.0";
-        let err = RbmsTable::from_text(zeros).unwrap_err().to_string();
-        assert!(err.contains("all strengths are zero"), "{err}");
+        let err = RbmsTable::from_text(zeros).unwrap_err();
+        assert_eq!(parse_line(&err), 5);
+        assert!(err.to_string().contains("all strengths are zero"), "{err}");
+        // Replicas refuse unchecksummed v1 text at its header line.
+        let dir = std::env::temp_dir().join("invmeas-parse-errors-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = install_profile_text(&dir.join("v1.rbms"), V1_TEXT).unwrap_err();
+        assert_eq!(parse_line(&err), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   thread count (as long as the driving requests are issued in a fixed
 //!   order).
 //! * a line-oriented text format (`faultplan v1`) so chaos scenarios can
-//!   be checked into CI and replayed against a release binary.
+//!   be checked into CI and replayed against a release binary;
+//! * [`LineReader`] — the header check, line numbering and [`LineError`]
+//!   shared by every line-oriented text format in the workspace, these
+//!   scripts and the core crate's profiles and journals alike.
 //!
 //! ```
 //! use invmeas_faults::{Fault, FaultInjector, FaultPlan, FaultSite};
@@ -32,13 +35,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod lines;
 mod netplan;
 mod plan;
 mod script;
 
-pub use netplan::{jitter, ConnectDecision, NetFault, NetFaultPlan, NetPlanParseError};
+pub use lines::{LineError, LineReader};
+pub use netplan::{jitter, ConnectDecision, NetFault, NetFaultPlan};
 pub use plan::{Fault, FaultPlan, FaultSite, SITE_COUNT};
-pub use script::PlanParseError;
 
 /// The hook production code calls at each instrumented site.
 ///

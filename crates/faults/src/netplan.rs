@@ -23,35 +23,16 @@
 //! (cluster index order), external clients are `client`, and the reserved
 //! source name `in` labels the server's accept path. `*` is a wildcard
 //! matching any name.
+//!
+//! The script is read by the shared [`LineReader`], which checks the
+//! `netfaults v1` header, skips blank lines and `#` comments, and numbers
+//! the lines for its [`LineError`]s; this module owns only the
+//! `seed`/`partition`/`conn` record grammar.
 
+use crate::lines::{LineError, LineReader};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// A malformed `netfaults v1` script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetPlanParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for NetPlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "netfaults error at line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for NetPlanParseError {}
-
-fn parse_err(line: usize, message: impl Into<String>) -> NetPlanParseError {
-    NetPlanParseError {
-        line,
-        message: message.into(),
-    }
-}
 
 /// A transport-level fault. [`Refuse`](NetFault::Refuse) and
 /// [`Delay`](NetFault::Delay) act at connect time; the rest arm the
@@ -210,35 +191,30 @@ impl NetFaultPlan {
     /// Panics if `from` is 0, or `until` is nonzero and below `from`.
     #[must_use]
     pub fn partition(
-        self,
+        mut self,
         src: impl Into<String>,
         dst: impl Into<String>,
         from: u64,
         until: u64,
     ) -> NetFaultPlan {
-        self.add_partition(src.into(), dst.into(), from, until, false)
+        self.add_partition(src.into(), dst.into(), from, until, false);
+        self
     }
 
     /// Like [`NetFaultPlan::partition`], but severing both directions.
     #[must_use]
     pub fn partition_symmetric(
-        self,
+        mut self,
         src: impl Into<String>,
         dst: impl Into<String>,
         from: u64,
         until: u64,
     ) -> NetFaultPlan {
-        self.add_partition(src.into(), dst.into(), from, until, true)
+        self.add_partition(src.into(), dst.into(), from, until, true);
+        self
     }
 
-    fn add_partition(
-        mut self,
-        src: String,
-        dst: String,
-        from: u64,
-        until: u64,
-        symmetric: bool,
-    ) -> NetFaultPlan {
+    fn add_partition(&mut self, src: String, dst: String, from: u64, until: u64, symmetric: bool) {
         assert!(from >= 1, "partition windows are 1-based");
         assert!(until == 0 || until >= from, "until must be 0 or >= from");
         self.partitions.push(PartitionRule {
@@ -250,7 +226,6 @@ impl NetFaultPlan {
             count: AtomicU64::new(0),
             healed: AtomicBool::new(false),
         });
-        self
     }
 
     /// Registers one dial attempt from `src` to `dst` and returns what the
@@ -392,79 +367,62 @@ impl NetFaultPlan {
     /// conn client n0 4 duplicate
     /// ```
     ///
-    /// Blank lines and `#` comments are ignored; member names must not
-    /// contain spaces; `*` is a wildcard.
+    /// The shared [`LineReader`] checks the header, numbers the lines and
+    /// skips blank lines and `#` comments; member names must not contain
+    /// spaces; `*` is a wildcard.
     ///
     /// # Errors
     ///
-    /// Returns a [`NetPlanParseError`] naming the offending line on a bad
+    /// Returns a [`LineError`] naming the offending line on a bad
     /// header, unknown directive or fault kind, or malformed numbers.
-    pub fn from_text(text: &str) -> Result<NetFaultPlan, NetPlanParseError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty plan"))?;
-        if header.trim() != "netfaults v1" {
-            return Err(parse_err(1, format!("bad header {header:?}")));
-        }
+    pub fn from_text(text: &str) -> Result<NetFaultPlan, LineError> {
+        let (_, lines) = LineReader::open(text, "plan", &["netfaults v1"])?;
         let mut plan = NetFaultPlan::new(0);
-        for (idx, raw) in lines {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        lines.each_record(|line| {
             let words: Vec<&str> = line.split_whitespace().collect();
             match words[0] {
                 "seed" => {
                     plan.seed = words
                         .get(1)
                         .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| parse_err(lineno, "seed needs an integer"))?;
+                        .ok_or("seed needs an integer")?;
                 }
                 "partition" => {
                     if words.len() < 5 {
-                        return Err(parse_err(lineno, "partition needs: src dst from until"));
+                        return Err("partition needs: src dst from until".into());
                     }
                     let from: u64 = words[3]
                         .parse()
                         .ok()
                         .filter(|&n| n >= 1)
-                        .ok_or_else(|| parse_err(lineno, "from must be a positive integer"))?;
+                        .ok_or("from must be a positive integer")?;
                     let until: u64 = words[4]
                         .parse()
                         .ok()
                         .filter(|&n| n == 0 || n >= from)
-                        .ok_or_else(|| parse_err(lineno, "until must be 0 or >= from"))?;
+                        .ok_or("until must be 0 or >= from")?;
                     let symmetric = match words.get(5) {
                         None => false,
                         Some(&"sym") => true,
-                        Some(other) => {
-                            return Err(parse_err(
-                                lineno,
-                                format!("unknown partition flag {other:?}"),
-                            ))
-                        }
+                        Some(other) => return Err(format!("unknown partition flag {other:?}")),
                     };
-                    plan = plan.add_partition(
-                        words[1].to_string(),
-                        words[2].to_string(),
-                        from,
-                        until,
-                        symmetric,
-                    );
+                    let (src, dst) = (words[1].to_string(), words[2].to_string());
+                    plan.add_partition(src, dst, from, until, symmetric);
                 }
                 "conn" => {
                     if words.len() < 5 {
-                        return Err(parse_err(lineno, "conn needs: src dst arrival kind"));
+                        return Err("conn needs: src dst arrival kind".into());
                     }
-                    let arrival: u64 =
-                        words[3].parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            parse_err(lineno, "arrival must be a positive integer")
-                        })?;
-                    let need = |i: usize, what: &str| -> Result<u64, NetPlanParseError> {
+                    let arrival: u64 = words[3]
+                        .parse()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .ok_or("arrival must be a positive integer")?;
+                    let need = |i: usize, what: &str| -> Result<u64, String> {
                         words
                             .get(i)
                             .and_then(|w| w.parse().ok())
-                            .ok_or_else(|| parse_err(lineno, format!("{} needs {what}", words[4])))
+                            .ok_or_else(|| format!("{} needs {what}", words[4]))
                     };
                     let fault = match words[4] {
                         "refuse" => NetFault::Refuse,
@@ -476,15 +434,19 @@ impl NetFaultPlan {
                         },
                         "truncate-after" => NetFault::TruncateAfter(need(5, "a byte count")?),
                         "duplicate" => NetFault::Duplicate,
-                        other => {
-                            return Err(parse_err(lineno, format!("unknown fault kind {other:?}")))
-                        }
+                        other => return Err(format!("unknown fault kind {other:?}")),
                     };
-                    plan = plan.on_connect(words[1], words[2], arrival, fault);
+                    plan.conn_rules.push(ConnRule {
+                        src: words[1].to_string(),
+                        dst: words[2].to_string(),
+                        arrival,
+                        fault,
+                    });
                 }
-                other => return Err(parse_err(lineno, format!("unknown directive {other:?}"))),
+                other => return Err(format!("unknown directive {other:?}")),
             }
-        }
+            Ok(())
+        })?;
         Ok(plan)
     }
 
@@ -683,49 +645,69 @@ conn client n0 4 duplicate
     #[test]
     fn parse_errors_name_lines() {
         let cases = [
-            ("", "empty plan"),
-            ("nope", "bad header"),
-            ("netfaults v1\nseed x", "seed needs an integer"),
-            ("netfaults v1\nwarp n0 n1 1 refuse", "unknown directive"),
-            ("netfaults v1\npartition n0 n1", "partition needs"),
+            ("", 1, "empty plan"),
+            ("nope", 1, "bad header"),
+            ("netfaults v1\nseed x", 2, "seed needs an integer"),
+            ("netfaults v1\nwarp n0 n1 1 refuse", 2, "unknown directive"),
+            ("netfaults v1\npartition n0 n1", 2, "partition needs"),
             (
                 "netfaults v1\npartition n0 n1 0 0",
+                2,
                 "from must be a positive integer",
             ),
             (
                 "netfaults v1\npartition n0 n1 3 2",
+                2,
                 "until must be 0 or >= from",
             ),
             (
                 "netfaults v1\npartition n0 n1 1 2 both",
+                2,
                 "unknown partition flag",
             ),
-            ("netfaults v1\nconn n0 n1 1", "conn needs"),
+            ("netfaults v1\nconn n0 n1 1", 2, "conn needs"),
             (
                 "netfaults v1\nconn n0 n1 0 refuse",
+                2,
                 "arrival must be a positive integer",
             ),
-            ("netfaults v1\nconn n0 n1 1 explode", "unknown fault kind"),
+            (
+                "netfaults v1\nconn n0 n1 1 explode",
+                2,
+                "unknown fault kind",
+            ),
             (
                 "netfaults v1\nconn n0 n1 1 latency",
+                2,
                 "latency needs milliseconds",
             ),
             (
                 "netfaults v1\nconn n0 n1 1 slow-write 16",
+                2,
                 "slow-write needs",
             ),
             (
                 "netfaults v1\nconn n0 n1 1 drop-after soon",
+                2,
                 "drop-after needs a byte count",
             ),
+            (
+                "netfaults v1\nseed 1\nconn n0 n1 1 explode",
+                3,
+                "unknown fault kind",
+            ),
+            // Blank and comment lines still count towards the line number.
+            (
+                "netfaults v1\n\n# comment\npartition n0 n1 1 0\nconn n0 n1 1",
+                5,
+                "conn needs",
+            ),
         ];
-        for (text, expect) in cases {
-            let err = NetFaultPlan::from_text(text).unwrap_err().to_string();
-            assert!(err.contains(expect), "{text:?}: {err}");
+        for (text, line, expect) in cases {
+            let err = NetFaultPlan::from_text(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.to_string().contains(expect), "{text:?}: {err}");
         }
-        let err =
-            NetFaultPlan::from_text("netfaults v1\nseed 1\nconn n0 n1 1 explode").unwrap_err();
-        assert_eq!(err.line, 3, "errors carry the 1-based line number");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The `faultplan v1` text format — chaos scenarios as checked-in files.
 //!
-//! Line-oriented, in the spirit of `profile_io`'s `rbms v1`:
+//! Line-oriented, and read by the shared [`LineReader`]:
 //!
 //! ```text
 //! faultplan v1
@@ -13,40 +13,13 @@
 //! worker 3 panic chaos monkey
 //! ```
 //!
-//! Blank lines and `#` comments are ignored. `error` and `panic` take the
+//! Blank lines and `#` comments are ignored, and errors name their line.
+//! This module owns only the record grammar. `error` and `panic` take the
 //! rest of the line as the message (a default is supplied when omitted);
 //! `latency` takes milliseconds; `torn` and `corrupt` take nothing.
 
+use crate::lines::{LineError, LineReader};
 use crate::plan::{Fault, FaultPlan, FaultSite};
-use std::fmt;
-
-/// A malformed fault-plan script.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault-plan error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-fn parse_err(line: usize, message: impl Into<String>) -> PlanParseError {
-    PlanParseError {
-        line,
-        message: message.into(),
-    }
-}
 
 impl FaultPlan {
     /// Serializes the plan's schedule to the text format (arrival
@@ -75,40 +48,30 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanParseError`] naming the offending line on a bad
-    /// header, unknown site or fault kind, or malformed arrival/latency.
-    pub fn from_text(text: &str) -> Result<FaultPlan, PlanParseError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| parse_err(1, "empty plan"))?;
-        if header.trim() != "faultplan v1" {
-            return Err(parse_err(1, format!("bad header {header:?}")));
-        }
+    /// Returns a [`LineError`] naming the offending line on a bad header,
+    /// unknown site or fault kind, or malformed arrival/latency.
+    pub fn from_text(text: &str) -> Result<FaultPlan, LineError> {
+        let (_, lines) = LineReader::open(text, "plan", &["faultplan v1"])?;
         let mut seed = 0u64;
         let mut entries: Vec<(FaultSite, u64, Fault)> = Vec::new();
-        for (idx, raw) in lines {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        lines.each_record(|line| {
             let mut words = line.splitn(2, ' ');
             let first = words.next().expect("non-empty line");
             if first == "seed" {
                 seed = words
                     .next()
                     .and_then(|w| w.trim().parse().ok())
-                    .ok_or_else(|| parse_err(lineno, "seed needs an integer"))?;
-                continue;
+                    .ok_or("seed needs an integer")?;
+                return Ok(());
             }
-            let site = FaultSite::parse(first)
-                .ok_or_else(|| parse_err(lineno, format!("unknown site {first:?}")))?;
+            let site = FaultSite::parse(first).ok_or_else(|| format!("unknown site {first:?}"))?;
             let rest = words.next().unwrap_or("");
             let mut rest_words = rest.splitn(2, ' ');
             let arrival: u64 = rest_words
                 .next()
                 .and_then(|w| w.parse().ok())
                 .filter(|&n| n >= 1)
-                .ok_or_else(|| parse_err(lineno, "arrival must be a positive integer"))?;
+                .ok_or("arrival must be a positive integer")?;
             let kind_and_arg = rest_words.next().unwrap_or("");
             let mut ka = kind_and_arg.splitn(2, ' ');
             let kind = ka.next().unwrap_or("");
@@ -118,14 +81,15 @@ impl FaultPlan {
                 "panic" => Fault::Panic(arg.unwrap_or("injected panic").to_string()),
                 "latency" => Fault::Latency(
                     arg.and_then(|a| a.parse().ok())
-                        .ok_or_else(|| parse_err(lineno, "latency needs milliseconds"))?,
+                        .ok_or("latency needs milliseconds")?,
                 ),
                 "torn" => Fault::Torn,
                 "corrupt" => Fault::Corrupt,
-                other => return Err(parse_err(lineno, format!("unknown fault kind {other:?}"))),
+                other => return Err(format!("unknown fault kind {other:?}")),
             };
             entries.push((site, arrival, fault));
-        }
+            Ok(())
+        })?;
         let mut plan = FaultPlan::new(seed);
         for (site, arrival, fault) in entries {
             plan = plan.on_nth(site, arrival, fault);
@@ -218,31 +182,42 @@ worker 3 panic chaos monkey
     #[test]
     fn parse_errors_name_lines() {
         let cases = [
-            ("", "empty plan"),
-            ("nope", "bad header"),
-            ("faultplan v1\nseed x", "seed needs an integer"),
-            ("faultplan v1\nmars 1 torn", "unknown site"),
+            ("", 1, "empty plan"),
+            ("nope", 1, "bad header"),
+            ("faultplan v1\nseed x", 2, "seed needs an integer"),
+            ("faultplan v1\nmars 1 torn", 2, "unknown site"),
             (
                 "faultplan v1\nworker 0 torn",
+                2,
                 "arrival must be a positive integer",
             ),
             (
                 "faultplan v1\nworker x torn",
+                2,
                 "arrival must be a positive integer",
             ),
-            ("faultplan v1\nworker 1 explode", "unknown fault kind"),
+            ("faultplan v1\nworker 1 explode", 2, "unknown fault kind"),
             (
                 "faultplan v1\nworker 1 latency",
+                2,
                 "latency needs milliseconds",
             ),
             (
                 "faultplan v1\nworker 1 latency soon",
+                2,
                 "latency needs milliseconds",
             ),
+            // Blank and comment lines still count towards the line number.
+            (
+                "faultplan v1\n\n# comment\nseed 3\nworker 1 explode",
+                5,
+                "unknown fault kind",
+            ),
         ];
-        for (text, expect) in cases {
-            let err = FaultPlan::from_text(text).unwrap_err().to_string();
-            assert!(err.contains(expect), "{text:?}: {err}");
+        for (text, line, expect) in cases {
+            let err = FaultPlan::from_text(text).unwrap_err();
+            assert_eq!(err.line, line, "{text:?}: {err}");
+            assert!(err.to_string().contains(expect), "{text:?}: {err}");
         }
     }
 }

@@ -9,6 +9,7 @@
 //! subset that `to_qasm` produces (one quantum register, optional final
 //! measurement of every qubit).
 
+use crate::bitstring::MAX_WIDTH;
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use std::fmt::Write as _;
@@ -131,7 +132,8 @@ impl std::error::Error for QasmError {}
 /// # Errors
 ///
 /// Returns a [`QasmError`] naming the offending line on malformed input,
-/// unsupported gates, or missing/duplicate `qreg`.
+/// unsupported gates, missing/duplicate `qreg`, or a `qreg` size outside
+/// `1..=64`.
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
     let mut circuit: Option<Circuit> = None;
     for (idx, raw_line) in text.lines().enumerate() {
@@ -165,6 +167,12 @@ fn parse_statement(
         }
         let n = parse_reg_size(rest.trim())
             .ok_or_else(|| QasmError::new(lineno, format!("bad qreg declaration {rest:?}")))?;
+        if !(1..=MAX_WIDTH).contains(&n) {
+            return Err(QasmError::new(
+                lineno,
+                format!("qreg size {n} outside 1..={MAX_WIDTH}"),
+            ));
+        }
         *circuit = Some(Circuit::new(n));
         return Ok(());
     }
@@ -370,6 +378,12 @@ mod tests {
             ("qreg q[1];\nrx q[0];", "requires a parameter"),
             ("qreg q[1];\nqreg q[1];", "multiple qreg"),
             ("", "no qreg"),
+            (
+                "OPENQASM 2.0;\nqreg q[0];",
+                "line 2: qreg size 0 outside 1..=64",
+            ),
+            ("qreg q[65];", "line 1: qreg size 65 outside"),
+            ("qreg q[99999999999];", "qreg size 99999999999 outside"),
         ];
         for (text, expect) in cases {
             let err = from_qasm(text).unwrap_err().to_string();

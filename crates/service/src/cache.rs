@@ -620,7 +620,8 @@ impl ProfileCache {
     /// # Errors
     ///
     /// A human-readable reason: no profile directory, an unparseable
-    /// payload, or an I/O failure.
+    /// payload (naming its line and what is wrong with it), or an I/O
+    /// failure.
     pub fn install_replica_journal(
         &self,
         device: &str,
@@ -890,6 +891,25 @@ mod tests {
             let (b, _) = on_disk.get_or_measure("sub7", &dev, 3, method, 96).unwrap();
             assert_eq!(a, b, "{method:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rejected_journal_replica_names_line_and_reason() {
+        let dir =
+            std::env::temp_dir().join(format!("invmeas-cache-replica-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = ProfileCache::new(CacheConfig {
+            profile_dir: Some(dir.clone()),
+            ..CacheConfig::default()
+        });
+        let err = c
+            .install_replica_journal("ibmqx4", MethodKind::Brute, 0, "charjournal v1\ndevice x\n")
+            .unwrap_err();
+        assert!(
+            err.ends_with("at line 1: bad header \"charjournal v1\""),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

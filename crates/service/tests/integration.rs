@@ -327,12 +327,26 @@ fn protocol_errors_over_the_wire() {
         deadline_ms: None,
         fwd: false,
     });
-    match client.request(&bad_qasm).expect("response") {
-        Response::Error { code, message } => {
-            assert_eq!(code, 400);
-            assert!(message.contains("bad qasm"), "{message}");
+    // A register size the simulator cannot hold is bad QASM too, not a
+    // panicked job.
+    let empty_register = Request::Submit(SubmitRequest {
+        device: "ibmqx4".into(),
+        qasm: "OPENQASM 2.0;\nqreg q[0];\n".into(),
+        policy: PolicyKind::Baseline,
+        shots: 10,
+        seed: 1,
+        expected: None,
+        deadline_ms: None,
+        fwd: false,
+    });
+    for req in [bad_qasm, empty_register] {
+        match client.request(&req).expect("response") {
+            Response::Error { code, message } => {
+                assert_eq!(code, 400);
+                assert!(message.contains("bad qasm"), "{message}");
+            }
+            other => panic!("wrong response {other:?}"),
         }
-        other => panic!("wrong response {other:?}"),
     }
 
     // A shot budget over the cap is refused before it can hold a worker.
@@ -363,11 +377,11 @@ fn protocol_errors_over_the_wire() {
         }
     }
 
-    // Only the unknown-device and bad-QASM jobs reached a worker; each
-    // answered a client error, so none counts as failed.
+    // Only the unknown-device and the two bad-QASM jobs reached a worker;
+    // each answered a client error, so none counts as failed.
     let counters = shutdown(addr, handle);
     assert_eq!(counters.jobs_failed, 0);
-    assert_eq!(counters.jobs_executed, 2);
+    assert_eq!(counters.jobs_executed, 3);
 }
 
 /// A characterization beyond its technique's width limit (ESCT beyond
