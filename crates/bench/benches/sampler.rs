@@ -11,7 +11,7 @@
 //! gate_noise`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use invmeas::RbmsTable;
+use invmeas::{InversionString, RbmsTable};
 use qbenches::bench_rng;
 use qnoise::{DeviceModel, Executor, NoisyExecutor};
 use qsim::{BitString, Circuit, StateVector};
@@ -97,8 +97,12 @@ fn bench_shot_scaling(c: &mut Criterion) {
 /// * `bv13_160` — BV-13 plus ancilla, weight-7 key, 160 shots on
 ///   `ibmq-melbourne`;
 /// * `qaoa14_40` — QAOA ring-14 p=2 with an inversion layer, 40 shots on
-///   `ibmq-melbourne`. Almost none of its faults can be pushed to the
-///   readout as a Pauli frame, so this case tracks the re-simulation path.
+///   `ibmq-melbourne`. Two thirds of its trajectories cannot be pushed to
+///   the readout as a Pauli frame, so this case tracks the resumed
+///   re-simulation path;
+/// * `qaoa14_sim4x10` — the same QAOA circuit as one SIM group run: its
+///   four trailing-X inversion variants through `run_groups`, 10 shots
+///   each, so the variants share one base and its checkpoints.
 fn bench_gate_noise(c: &mut Criterion) {
     let qx2 = NoisyExecutor::from_device(&DeviceModel::ibmqx2());
     let melbourne = NoisyExecutor::from_device(&DeviceModel::ibmq_melbourne());
@@ -107,13 +111,18 @@ fn bench_gate_noise(c: &mut Criterion) {
     // A ring's QAOA angles depend only on the radius-p neighbourhood of an
     // edge, so angles trained on the 6-ring serve the 14-ring.
     let trained = Qaoa::optimized(Graph::ring(6), 2);
-    let qaoa14 = Qaoa::new(
+    let qaoa14_base = Qaoa::new(
         Graph::ring(14),
         trained.gammas().to_vec(),
         trained.betas().to_vec(),
     )
-    .circuit()
-    .with_premeasure_inversion(BitString::from_value(0b10_1101_0011_0110, 14));
+    .circuit();
+    let qaoa14 =
+        qaoa14_base.with_premeasure_inversion(BitString::from_value(0b10_1101_0011_0110, 14));
+    let sim4: Vec<Circuit> = InversionString::sim_four(14)
+        .iter()
+        .map(|inv| inv.apply(&qaoa14_base))
+        .collect();
     let cases: [(&str, &NoisyExecutor, &Circuit, u64); 3] = [
         ("bv5_1024", &qx2, bv5.circuit(), 1024),
         ("bv13_160", &melbourne, bv13.circuit(), 160),
@@ -129,6 +138,11 @@ fn bench_gate_noise(c: &mut Criterion) {
             b.iter(|| exec.run(circuit, shots, &mut rng))
         });
     }
+    group.throughput(Throughput::Elements(40));
+    group.bench_function("qaoa14_sim4x10", |b| {
+        let mut rng = bench_rng();
+        b.iter(|| melbourne.run_groups(&sim4, &[10; 4], &mut rng))
+    });
     group.finish();
 }
 

@@ -37,6 +37,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod calibration;
+mod checkpoint;
 pub mod correlated;
 pub mod device;
 pub mod drift;

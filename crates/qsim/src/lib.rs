@@ -64,5 +64,5 @@ pub use density::{DensityMatrix, KrausChannel};
 pub use fuse::FusedProgram;
 pub use gate::Gate;
 pub use pool::{SpinBarrier, WorkerPool};
-pub use sampler::AliasSampler;
-pub use statevector::{simulation_count, StateVector};
+pub use sampler::{AliasSampler, AliasScratch};
+pub use statevector::{simulation_count, Checkpoint, StateVector};

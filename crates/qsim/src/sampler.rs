@@ -45,6 +45,15 @@ pub struct AliasSampler {
     alias: Vec<u32>,
 }
 
+/// Reusable work stacks for [`AliasSampler::rebuild`]: one pair serves
+/// every table a trajectory loop rebuilds, so a rebuild allocates nothing
+/// once the buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct AliasScratch {
+    small: Vec<u32>,
+    large: Vec<u32>,
+}
+
 impl AliasSampler {
     /// Builds the table from non-negative weights (not necessarily
     /// normalized).
@@ -54,27 +63,55 @@ impl AliasSampler {
     /// Panics if `weights` is empty or longer than `u32::MAX`, contains a
     /// negative or non-finite weight, or sums to zero.
     pub fn new(weights: &[f64]) -> Self {
-        let k = weights.len();
-        assert!(k >= 1, "alias table over no outcomes");
-        assert!(k <= u32::MAX as usize, "too many outcomes");
+        let mut sampler = AliasSampler {
+            keep: Vec::new(),
+            alias: Vec::new(),
+        };
+        sampler.rebuild(weights.iter().copied(), &mut AliasScratch::default());
+        sampler
+    }
+
+    /// Rebuilds the table in place over `weights`, reusing its own buffers
+    /// and `scratch`'s. A trajectory loop feeds it amplitude norms
+    /// straight from a state, with no Born vector in between. The table is
+    /// the one [`AliasSampler::new`] builds, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`AliasSampler::new`].
+    pub fn rebuild(&mut self, weights: impl IntoIterator<Item = f64>, scratch: &mut AliasScratch) {
+        // `keep` first holds the weights, then the scaled weights Vose's
+        // algorithm works on: each column's entry is final once the column
+        // leaves the small stack, so the scaled copy needs no buffer of
+        // its own.
+        let weights = weights.into_iter();
+        let keep = &mut self.keep;
+        keep.clear();
+        keep.reserve(weights.size_hint().0);
         let mut total = 0.0f64;
-        for &w in weights {
+        for w in weights {
             assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
             total += w;
+            keep.push(w);
         }
+        let k = keep.len();
+        assert!(k >= 1, "alias table over no outcomes");
+        assert!(k <= u32::MAX as usize, "too many outcomes");
         assert!(total > 0.0, "weights sum to zero");
 
         // Vose's algorithm: scale weights to mean 1, split into columns
         // below/above the mean, and pair each light column with a heavy
         // donor.
         let scale = k as f64 / total;
-        let mut keep = vec![0.0f64; k];
-        let mut alias = vec![0u32; k];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        for (i, &p) in scaled.iter().enumerate() {
-            if p < 1.0 {
+        let alias = &mut self.alias;
+        alias.clear();
+        alias.resize(k, 0);
+        let AliasScratch { small, large } = scratch;
+        small.clear();
+        large.clear();
+        for (i, p) in keep.iter_mut().enumerate() {
+            *p *= scale;
+            if *p < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
@@ -82,11 +119,10 @@ impl AliasSampler {
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            keep[s as usize] = scaled[s as usize];
             alias[s as usize] = l;
-            // The donor gives away (1 - scaled[s]) of its mass.
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
+            // The donor gives away (1 - keep[s]) of its mass.
+            keep[l as usize] -= 1.0 - keep[s as usize];
+            if keep[l as usize] < 1.0 {
                 large.pop();
                 small.push(l);
             }
@@ -96,7 +132,6 @@ impl AliasSampler {
             keep[i as usize] = 1.0;
             alias[i as usize] = i;
         }
-        AliasSampler { keep, alias }
     }
 
     /// The number of outcomes.
@@ -413,6 +448,73 @@ mod tests {
         let mut r = rng();
         for _ in 0..1000 {
             assert_eq!(sampler.sample(&mut r), 2);
+        }
+    }
+
+    /// Vose's construction with a separate scaled copy, as `new` built
+    /// it before tables were rebuilt in place.
+    fn reference_table(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
+        let k = weights.len();
+        let total: f64 = weights.iter().fold(0.0, |t, &w| t + w);
+        let scale = k as f64 / total;
+        let mut keep = vec![0.0f64; k];
+        let mut alias = vec![0u32; k];
+        let (mut small, mut large) = (Vec::new(), Vec::new());
+        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
+        for (i, &p) in scaled.iter().enumerate() {
+            if p < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+            small.pop();
+            keep[s as usize] = scaled[s as usize];
+            alias[s as usize] = l;
+            scaled[l as usize] -= 1.0 - scaled[s as usize];
+            if scaled[l as usize] < 1.0 {
+                large.pop();
+                small.push(l);
+            }
+        }
+        for &i in small.iter().chain(large.iter()) {
+            keep[i as usize] = 1.0;
+            alias[i as usize] = i;
+        }
+        (keep, alias)
+    }
+
+    #[test]
+    fn rebuilt_tables_equal_the_reference_bit_for_bit() {
+        let mut r = rng();
+        // One table and one scratch pair reused across every case, as a
+        // trajectory loop reuses them.
+        let mut reused = AliasSampler::new(&[1.0]);
+        let mut scratch = AliasScratch::default();
+        for case in 0..300 {
+            let k = r.gen_range(1..200usize);
+            let mut weights: Vec<f64> = (0..k)
+                .map(|_| match r.gen_range(0..5) {
+                    0 => 0.0,
+                    1 => f64::MIN_POSITIVE * r.gen::<f64>(), // subnormal
+                    2 => r.gen::<f64>() * 1e-300,
+                    _ => r.gen::<f64>(),
+                })
+                .collect();
+            if case % 7 == 0 {
+                // A point mass.
+                weights.iter_mut().for_each(|w| *w = 0.0);
+            }
+            let j = r.gen_range(0..k);
+            weights[j] += r.gen::<f64>() + f64::MIN_POSITIVE;
+            let (keep, alias) = reference_table(&weights);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let fresh = AliasSampler::new(&weights);
+            assert_eq!(bits(&fresh.keep), bits(&keep), "case {case}");
+            assert_eq!(fresh.alias, alias, "case {case}");
+            reused.rebuild(weights.iter().copied(), &mut scratch);
+            assert_eq!(reused, fresh, "case {case}");
         }
     }
 

@@ -514,6 +514,9 @@ pub enum Response {
         accepted: bool,
         /// Whether a clean copy was re-fetched after a rejection.
         refetched: bool,
+        /// Why the first rejected payload was refused (empty when
+        /// accepted). Absent on the wire when empty.
+        reason: String,
     },
     /// `fetch-profile` result: the exact persisted `rbms v2` text.
     Profile {
@@ -690,11 +693,15 @@ impl Response {
             Response::Replicated {
                 accepted,
                 refetched,
+                reason,
             } => {
                 pairs.push(("ok", Json::Bool(true)));
                 pairs.push(("op", Json::str("replicate")));
                 pairs.push(("accepted", Json::Bool(*accepted)));
                 pairs.push(("refetched", Json::Bool(*refetched)));
+                if !reason.is_empty() {
+                    pairs.push(("reason", Json::str(reason)));
+                }
             }
             Response::Profile {
                 device,
@@ -862,6 +869,11 @@ impl Response {
                     .and_then(Json::as_bool)
                     .ok_or_else(|| ProtocolError::new("replicate response missing accepted"))?,
                 refetched: v.get("refetched").and_then(Json::as_bool).unwrap_or(false),
+                reason: v
+                    .get("reason")
+                    .and_then(Json::as_str)
+                    .unwrap_or_default()
+                    .to_string(),
             }),
             "fetch-profile" => Ok(Response::Profile {
                 device: require_str(&v, "device")?.to_string(),
@@ -1150,6 +1162,12 @@ mod tests {
             Response::Replicated {
                 accepted: false,
                 refetched: true,
+                reason: "line 3: bad crc".into(),
+            },
+            Response::Replicated {
+                accepted: true,
+                refetched: false,
+                reason: String::new(),
             },
             Response::Profile {
                 device: "ibmqx4".into(),

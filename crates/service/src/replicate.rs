@@ -24,7 +24,7 @@ use crate::cluster::HashRing;
 use crate::membership::Membership;
 use crate::net::NetFabric;
 use crate::overload::RetryBudget;
-use crate::protocol::{MethodKind, ReplicateRequest, Request};
+use crate::protocol::{MethodKind, ReplicateRequest, Request, Response};
 use invmeas_faults::{Fault, FaultInjector, FaultSite};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -170,8 +170,8 @@ impl MeshReplicator {
         // dropped the idle connection (restart, idle reap) in between.
         let had_conn = slot.is_some();
         if let Some(c) = slot.as_mut() {
-            if c.request(&request).is_ok() {
-                self.membership.mark_seen(member);
+            if let Ok(reply) = c.request(&request) {
+                self.acknowledged(member, &reply);
                 return true;
             }
             *slot = None; // stale beyond repair: fall through to a fresh dial
@@ -187,19 +187,32 @@ impl MeshReplicator {
             }
         }
         let addr = &self.members[member];
-        let dialled = (|| -> Result<client::Client, client::ClientError> {
+        let dialled = (|| -> Result<(client::Client, Response), client::ClientError> {
             let mut c =
                 client::Client::connect_via(&self.fabric, addr.as_str(), Some(self.timeout))?;
-            c.request(&request)?;
-            Ok(c)
+            let reply = c.request(&request)?;
+            Ok((c, reply))
         })();
         match dialled {
-            Ok(c) => {
+            Ok((c, reply)) => {
                 *slot = Some(c);
-                self.membership.mark_seen(member);
+                self.acknowledged(member, &reply);
                 true
             }
             Err(_) => false,
+        }
+    }
+
+    /// A member answered a push: it is alive, and a refusal names why.
+    fn acknowledged(&self, member: usize, reply: &Response) {
+        self.membership.mark_seen(member);
+        if let Response::Replicated {
+            accepted: false,
+            reason,
+            ..
+        } = reply
+        {
+            eprintln!("replica to {} rejected: {reason}", self.members[member]);
         }
     }
 

@@ -625,18 +625,17 @@ fn execute_replicate(state: &State, r: &ReplicateRequest) -> Response {
         // A replica is proof of life for its sender.
         cl.membership.mark_seen(from);
     }
-    let mut accepted = true;
+    let mut reason = String::new();
     let mut refetched = false;
     if let Some(journal) = &r.journal {
         // A journal replica that fails verification is just dropped:
         // the next checkpoint ships the whole file again, so the stream
         // self-heals without a re-fetch.
-        if state
+        if let Err(e) = state
             .cache
             .install_replica_journal(&r.device, r.method, r.window, journal)
-            .is_err()
         {
-            accepted = false;
+            reason = format!("journal: {e}");
         }
     }
     if let Some(profile) = &r.profile {
@@ -645,11 +644,13 @@ fn execute_replicate(state: &State, r: &ReplicateRequest) -> Response {
             .install_replica_profile(&r.device, r.method, r.window, profile)
         {
             Ok(()) => {}
-            Err(_) => {
+            Err(e) => {
                 // Checksum (or I/O) rejection. Nothing local is suspect —
                 // the wire copy failed — so nothing is quarantined; pull
                 // a clean copy from the sender instead.
-                accepted = false;
+                if reason.is_empty() {
+                    reason = format!("profile: {e}");
+                }
                 if from < cl.config.members.len() && from != cl.config.self_index {
                     if let Some(text) =
                         fetch_profile_from(state, cl, from, &r.device, r.method, r.window)
@@ -663,9 +664,18 @@ fn execute_replicate(state: &State, r: &ReplicateRequest) -> Response {
             }
         }
     }
+    if !reason.is_empty() {
+        eprintln!(
+            "replica of {} {} w{} from member {from} rejected: {reason}",
+            r.device,
+            r.method.as_str(),
+            r.window
+        );
+    }
     Response::Replicated {
-        accepted,
+        accepted: reason.is_empty(),
         refetched,
+        reason,
     }
 }
 

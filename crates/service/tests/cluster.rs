@@ -252,6 +252,7 @@ fn corrupt_replica_is_rejected_by_checksum_and_refetched_clean() {
         Response::Replicated {
             accepted,
             refetched,
+            ..
         } => {
             assert!(accepted, "clean payload must be accepted");
             assert!(!refetched, "no re-fetch needed for a clean payload");
@@ -275,6 +276,7 @@ fn corrupt_replica_is_rejected_by_checksum_and_refetched_clean() {
         Response::Replicated {
             accepted,
             refetched,
+            ..
         } => {
             assert!(!accepted, "flipped bit must fail checksum verification");
             assert!(
@@ -300,6 +302,41 @@ fn corrupt_replica_is_rejected_by_checksum_and_refetched_clean() {
     for (addr, handle) in nodes {
         shutdown(addr, handle);
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A refused replica says why: the reply to a garbage journal names the
+/// line that failed to parse.
+#[test]
+fn rejected_journal_replica_reply_names_the_failing_line() {
+    let root = fresh_dir("invmeas-cluster-reason-test");
+    let ports = pick_ports(2);
+    let members: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
+    let dir = root.join("node1");
+    let (addr, handle) = start(mesh_node(
+        &members,
+        1,
+        &dir,
+        Arc::new(invmeas_faults::NoFaults),
+    ));
+    let garbage = Request::Replicate(invmeas_service::ReplicateRequest {
+        device: "ibmqx4".into(),
+        method: MethodKind::Brute,
+        window: 0,
+        profile: None,
+        journal: Some("not a journal\n".into()),
+        from: 0,
+    });
+    match call(addr, &garbage).expect("garbage replicate") {
+        Response::Replicated {
+            accepted, reason, ..
+        } => {
+            assert!(!accepted, "a garbage journal must be refused");
+            assert!(reason.contains("line 1"), "reason {reason:?}");
+        }
+        other => panic!("wrong response {other:?}"),
+    }
+    shutdown(addr, handle);
     std::fs::remove_dir_all(&root).ok();
 }
 
